@@ -124,14 +124,39 @@ def _cmd_cost_report(args) -> int:
     return 0
 
 
+def _prune_target(args, cfg) -> tuple[int, tuple[int, int] | None]:
+    """Check --layer, --tile and --k against the configured network, so that
+    a bad value fails before any training; returns (layer, tile)."""
+    specs = cfg.layer_specs()
+    layer = args.layer
+    if not 0 <= layer < len(specs):
+        raise ConfigError(f"--layer {layer} out of range 0..{len(specs) - 1}")
+    rows, cols = specs[layer].out_dim, specs[layer].in_dim
+    tile = None
+    if args.tile:
+        try:
+            tile = tuple(int(v) for v in args.tile.lower().split("x"))
+        except ValueError:
+            tile = ()
+        if len(tile) != 2 or min(tile) < 1:
+            raise ConfigError(f"--tile expects ROWSxCOLS of positive sizes, got {args.tile!r}")
+        if rows % tile[0] or cols % tile[1]:
+            raise ConfigError(
+                f"--tile {args.tile} does not divide layer {layer}'s {rows}x{cols} weight"
+            )
+    units = rows // tile[0] * (cols // tile[1]) if tile else rows * cols
+    if not 0 <= args.k <= units:
+        raise ConfigError(f"--k {args.k} outside 0..{units}, the prunable units of layer {layer}")
+    return layer, tile
+
+
 def _cmd_prune(args) -> int:
     cfg = _config(args)
     if cfg.optimizer not in ("mkor", "mkor-h"):
         raise ConfigError("prune reuses the rank-1 optimizer's factors; set optimizer=mkor")
-    net, states = _train_with_factors(cfg)
-    layer = args.layer
-    if not 0 <= layer < len(net.layers):
-        raise ConfigError(f"--layer {layer} out of range")
+    layer, tile = _prune_target(args, cfg)
+    result = run_training(cfg)
+    net, states = result.net, result.states
     ds = build_dataset(cfg)
     x, y = ds.x, ds.y
     out, trace = forward(net, x)
@@ -139,10 +164,6 @@ def _cmd_prune(args) -> int:
     # score with the factors themselves: re-invert the stored inverses
     left = linalg.direct_inverse(states[layer].l_inv)
     right = linalg.direct_inverse(states[layer].r_inv)
-    tile = None
-    if args.tile:
-        tr, tc = args.tile.lower().split("x")
-        tile = (int(tr), int(tc))
     mask = greedy_prune(net.weights[layer], caps[layer].w_grad, left, right, args.k, tile=tile)
     true_delta, predicted = prune_and_measure(net, x, y, cfg.loss, layer, mask, left, right)
     os.makedirs(args.out, exist_ok=True)
@@ -160,31 +181,6 @@ def _cmd_prune(args) -> int:
         fh.write("\n")
     print(json.dumps(report, sort_keys=True))
     return 0
-
-
-def _train_with_factors(cfg):
-    """Single-worker training that keeps the factor states around (RunResult
-    does not carry them; this path is the pruning entry point)."""
-    from .data import batch_slice, shard_dataset
-    from .net import init_network
-    from .optim import FactorState, MkorConfig, mkor_step
-
-    shards = shard_dataset(build_dataset(cfg), 1, cfg.seed)
-    rng = linalg.make_rng(cfg.seed)
-    specs = cfg.layer_specs()
-    net = init_network(specs, rng)
-    states = [FactorState.identity_init(s.out_dim, s.in_dim) for s in specs]
-    mcfg = MkorConfig(
-        gamma=cfg.gamma, zeta=cfg.zeta, epsilon_norm=cfg.epsilon_norm,
-        inversion_period=cfg.inversion_period, lr=cfg.lr,
-        half_precision_comm=cfg.half_precision_comm,
-    )
-    for t in range(1, cfg.iterations + 1):
-        x, y = batch_slice(shards[0], t, cfg.batch)
-        _, trace = forward(net, x)
-        _, caps = backward(net, trace, y, cfg.loss)
-        mkor_step(net, caps, states, mcfg)
-    return net, states
 
 
 def _cmd_verify_lemmas(args) -> int:

@@ -88,6 +88,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.seed is None:
             raise ConfigError("seed is mandatory (set `seed = ...` or pass --seed)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in TRAINABLE_OPTIMIZERS:
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; choose from {TRAINABLE_OPTIMIZERS}"
@@ -98,6 +100,16 @@ class ExperimentConfig:
             raise ConfigError("gamma must be in (0, 1)")
         if not 0.0 < self.zeta <= 1.0:
             raise ConfigError("zeta must be in (0, 1]")
+        if self.epsilon_norm <= 0:
+            raise ConfigError("epsilon_norm must be positive")
+        if self.damping <= 0:
+            raise ConfigError("damping must be positive")
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError("beta must be in (0, 1)")
+        if not 0.0 < self.decay_factor < 1.0:
+            raise ConfigError("decay_factor must be in (0, 1)")
+        if self.window < 1:
+            raise ConfigError("window must be >= 1 (the hybrid switch needs a baseline)")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.inversion_period < 0:

@@ -10,7 +10,6 @@ convention the factor approximations use.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,9 +206,9 @@ def save_checkpoint(net: NetworkState, path: str) -> None:
             fh.write(
                 f"{spec.in_dim} {spec.out_dim} {spec.activation} {int(spec.has_bias)}\n".encode()
             )
-            fh.write(struct.pack(f"<{w.size}d", *w.reshape(-1)))
+            fh.write(w.astype("<f8").tobytes())
             if b is not None:
-                fh.write(struct.pack(f"<{b.size}d", *b))
+                fh.write(b.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> NetworkState:

@@ -5,8 +5,10 @@ baselines.
 
 Conventions shared by every step function:
   * factor inverses start at the identity,
-  * factor updates run only on iterations where iter % inversion_period == 0
-    (1-based; period 0 means "never"), cached inverses precondition every step,
+  * ``training.run_training`` alone decides the factor-update cadence
+    (iterations where iter % inversion_period == 0, 1-based; period 0 means
+    "never") and hands the steps the synchronized statistics on those
+    iterations; cached inverses precondition every step,
   * weights update as W <- W - lr * delta; biases always take the raw
     first-order gradient.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,47 +43,7 @@ fp16_clamp_count = 0
 
 
 # ---------------------------------------------------------------------------
-# configuration / state
-
-
-@dataclass
-class MkorConfig:
-    gamma: float = 0.9  # factor momentum
-    zeta: float = 0.95  # stabilizer blend weight
-    epsilon_norm: float = 100.0  # stabilizer trigger threshold (inf-norm)
-    inversion_period: int = 10  # factor-update cadence; 0 = never
-    lr: float = 0.1
-    second_order_layers: Callable[[int], bool] | None = None  # None = all
-    half_precision_comm: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if not 0.0 < self.zeta <= 1.0:
-            raise ValueError("zeta must be in (0, 1]")
-        if self.epsilon_norm <= 0.0:
-            raise ValueError("epsilon_norm must be positive")
-        if self.inversion_period < 0:
-            raise ValueError("inversion_period must be >= 0")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-
-    def is_second_order(self, layer_idx: int) -> bool:
-        return self.second_order_layers is None or self.second_order_layers(layer_idx)
-
-
-@dataclass
-class KfacConfig:
-    gamma: float = 0.9
-    damping: float = 1e-3  # mu added to factors before inversion
-    inversion_period: int = 100
-    lr: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.damping <= 0.0:
-            raise ValueError("damping must be positive")
+# state
 
 
 @dataclass
@@ -93,7 +54,6 @@ class FactorState:
     r_inv: np.ndarray
     a_bar: np.ndarray
     g_bar: np.ndarray
-    iterations: int = 0
 
     @classmethod
     def identity_init(cls, out_dim: int, in_dim: int) -> "FactorState":
@@ -111,7 +71,6 @@ class KfacState:
     r_cov: np.ndarray
     l_inv: np.ndarray
     r_inv: np.ndarray
-    iterations: int = 0
 
     @classmethod
     def identity_init(cls, out_dim: int, in_dim: int) -> "KfacState":
@@ -136,7 +95,6 @@ class HybridState:
     loss_ema: float | None = None  # EMA of per-iteration loss decrease
     baseline_rate: float | None = None
     seen: int = 0
-    switch_iteration: int | None = None
 
 
 @dataclass
@@ -281,14 +239,6 @@ def rescale(delta_hat: np.ndarray, grad: np.ndarray) -> np.ndarray:
 # full steps
 
 
-def _layer_grads(captures, grads, bias_grads):
-    if grads is None:
-        grads = [c.w_grad for c in captures]
-    if bias_grads is None:
-        bias_grads = [c.b_grad for c in captures]
-    return grads, bias_grads
-
-
 def _apply_update(net: NetworkState, idx: int, delta, bias_grad, lr: float) -> None:
     with counters.phase("weight_update"):
         np.subtract(net.weights[idx], lr * delta, out=net.weights[idx])
@@ -300,46 +250,36 @@ def _apply_update(net: NetworkState, idx: int, delta, bias_grad, lr: float) -> N
 
 def mkor_step(
     net: NetworkState,
-    captures: list[LayerCapture],
-    states: list[FactorState | None],
-    cfg: MkorConfig,
+    states: list[FactorState],
+    grads: list[np.ndarray],
+    bias_grads: list[np.ndarray | None],
+    lr: float,
+    gamma: float,
+    zeta: float,
+    epsilon_norm: float,
     synced: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    grads=None,
-    bias_grads=None,
 ) -> list[np.ndarray]:
     """One optimizer iteration over all layers; returns the applied deltas.
 
-    ``synced`` carries already-allreduced (a_bar, g_bar) per layer when a
-    multi-worker driver performed the reduction; otherwise each layer reduces
-    its own capture (the single-worker path).
+    ``synced`` carries the allreduced (a_bar, g_bar) per layer on the
+    iterations the caller chose for a factor update: each layer's inverses
+    then take a stabilized rank-1 update before preconditioning.  Without it
+    the cached inverses precondition unchanged.
     """
-    grads, bias_grads = _layer_grads(captures, grads, bias_grads)
     deltas = []
-    for idx, cap in enumerate(captures):
+    for idx, st in enumerate(states):
         grad = grads[idx]
-        st = states[idx]
-        if st is not None and cfg.is_second_order(idx):
-            st.iterations += 1
-            f = cfg.inversion_period
-            if f > 0 and st.iterations % f == 0:
-                with counters.phase("factor_update"):
-                    if synced is not None:
-                        a_bar, g_bar = synced[idx]
-                    else:
-                        a_bar, g_bar = allreduce_rank1(
-                            [rank1_reduce(cap)], half_precision=cfg.half_precision_comm
-                        )
-                    st.a_bar, st.g_bar = a_bar, g_bar
-                    l_hat = stabilize(st.l_inv, cfg.epsilon_norm, cfg.zeta)
-                    r_hat = stabilize(st.r_inv, cfg.epsilon_norm, cfg.zeta)
-                    st.l_inv = sm_update(l_hat, g_bar, cfg.gamma)
-                    st.r_inv = sm_update(r_hat, a_bar, cfg.gamma)
-            with counters.phase("precondition"):
-                delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
-        else:
-            delta = grad
+        if synced is not None:
+            with counters.phase("factor_update"):
+                st.a_bar, st.g_bar = synced[idx]
+                l_hat = stabilize(st.l_inv, epsilon_norm, zeta)
+                r_hat = stabilize(st.r_inv, epsilon_norm, zeta)
+                st.l_inv = sm_update(l_hat, st.g_bar, gamma)
+                st.r_inv = sm_update(r_hat, st.a_bar, gamma)
+        with counters.phase("precondition"):
+            delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
         deltas.append(delta)
-        _apply_update(net, idx, delta, bias_grads[idx], cfg.lr)
+        _apply_update(net, idx, delta, bias_grads[idx], lr)
     return deltas
 
 
@@ -362,35 +302,6 @@ def kfac_invert(state: KfacState, damping: float) -> None:
         state.r_inv = linalg.direct_inverse(add(state.r_cov, scale(eye_r, damping)))
 
 
-def kfac_step(
-    net: NetworkState,
-    captures: list[LayerCapture],
-    states: list[KfacState],
-    cfg: KfacConfig,
-    grads=None,
-    bias_grads=None,
-    synced_covs: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[np.ndarray]:
-    """KFAC baseline: accumulate covariances every step, invert every
-    inversion_period steps, precondition with the cached inverses."""
-    grads, bias_grads = _layer_grads(captures, grads, bias_grads)
-    deltas = []
-    for idx, cap in enumerate(captures):
-        st = states[idx]
-        st.iterations += 1
-        kfac_accumulate(st, cap, cfg.gamma)
-        if synced_covs is not None:
-            st.l_cov, st.r_cov = synced_covs[idx]
-        f = cfg.inversion_period
-        if f > 0 and st.iterations % f == 0:
-            kfac_invert(st, cfg.damping)
-        with counters.phase("precondition"):
-            delta = precondition(st.l_inv, grads[idx], st.r_inv)
-        deltas.append(delta)
-        _apply_update(net, idx, delta, bias_grads[idx], cfg.lr)
-    return deltas
-
-
 MAX_SNGD_BATCH = 64
 
 
@@ -402,8 +313,6 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
     realized in matrix form without materializing U; the inverted kernel is
     b x b.  Desk-scale guard: batch must not exceed 64 samples.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
     updates = []
     for cap in captures:
         a, g, grad = cap.a_prev, cap.g, cap.w_grad
@@ -429,12 +338,11 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
 def sngd_step(
     net: NetworkState,
     captures: list[LayerCapture],
+    grads: list[np.ndarray],
+    bias_grads: list[np.ndarray | None],
     mu: float,
     lr: float,
-    grads=None,
-    bias_grads=None,
 ) -> list[np.ndarray]:
-    grads, bias_grads = _layer_grads(captures, grads, bias_grads)
     apply_caps = [
         LayerCapture(a_prev=c.a_prev, g=c.g, w_grad=gr, b_grad=bg)
         for c, gr, bg in zip(captures, grads, bias_grads)
@@ -497,5 +405,4 @@ def mkorh_maybe_switch(h: HybridState, loss_t: float) -> HybridState:
     elif h.baseline_rate is not None and h.seen > h.window:
         if h.baseline_rate <= 0.0 or h.loss_ema < h.switch_ratio * h.baseline_rate:
             h.mode = "first_order"
-            h.switch_iteration = h.seen
     return h

@@ -3,7 +3,7 @@ milestone decay."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 HYSTERESIS_ITERS = 10  # min spacing between knee triggers
 
@@ -26,18 +26,8 @@ class KneePointState:
     baseline_gain: float = 0.0  # total improvement since lr was set
     steps_since_change: int = 0
     prev_metric: float | None = None
-    trigger_iterations: list[int] = None  # type: ignore[assignment]
+    trigger_iterations: list[int] = field(default_factory=list)
     _iter: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in (0, 1)")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.trigger_iterations is None:
-            self.trigger_iterations = []
 
 
 def knee_point_update(state: KneePointState, metric_t: float) -> tuple[KneePointState, float]:

@@ -1,4 +1,5 @@
-"""Training loop over logical workers.
+"""Training loop over logical workers: the only code that trains, and the
+only place that decides on which iterations the factors update.
 
 Workers are simulated sequentially in ascending id order inside one process,
 which makes every reduction order (and therefore every float result) fixed.
@@ -26,9 +27,7 @@ from .net import NetworkState, backward, forward, init_network
 from .optim import (
     FactorState,
     HybridState,
-    KfacConfig,
     KfacState,
-    MkorConfig,
     SgdState,
     allreduce_rank1,
     kfac_accumulate,
@@ -45,6 +44,10 @@ from .sched import KneePointState, knee_point_update, step_decay
 
 @dataclass
 class RunResult:
+    """What one run leaves behind.  ``net`` and ``states`` are worker 0's
+    final weights and per-layer factor states (FactorState for mkor/mkor-h,
+    KfacState for kfac, empty for sgd/sngd)."""
+
     losses: list[float]
     lrs: list[float]
     net: NetworkState
@@ -53,6 +56,7 @@ class RunResult:
     switch_iteration: int | None = None
     weight_digests: list[str] = field(default_factory=list)
     rank1_records: list[Rank1ErrorRecord] = field(default_factory=list)
+    states: list[FactorState | KfacState] = field(default_factory=list)
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -94,9 +98,10 @@ def run_training(
     shards: list[Dataset] | None = None,
     trace_weights: bool = False,
 ) -> RunResult:
-    """Run the configured experiment; returns losses, final net (worker 0) and
-    the instrumentation trace.  ``shards`` overrides dataset construction and
-    sharding, which lets callers hand identical shards to several workers."""
+    """Run the configured experiment; returns losses, worker 0's final net and
+    factor states, and the instrumentation trace.  ``shards`` overrides
+    dataset construction and sharding, which lets callers hand identical
+    shards to several workers."""
     cfg.validate()
     if shards is None:
         shards = shard_dataset(build_dataset(cfg), cfg.workers, cfg.seed)
@@ -114,19 +119,10 @@ def run_training(
     nets = [base_net] + [base_net.copy() for _ in range(n_workers - 1)]
 
     opt = cfg.optimizer
-    mcfg = kcfg = None
     factor_states: list[list] = []
     sgd_states = [SgdState() for _ in range(n_workers)]
     hybrid = None
     if opt in ("mkor", "mkor-h"):
-        mcfg = MkorConfig(
-            gamma=cfg.gamma,
-            zeta=cfg.zeta,
-            epsilon_norm=cfg.epsilon_norm,
-            inversion_period=cfg.inversion_period,
-            lr=cfg.lr,
-            half_precision_comm=cfg.half_precision_comm,
-        )
         factor_states = [
             [FactorState.identity_init(s.out_dim, s.in_dim) for s in specs]
             for _ in range(n_workers)
@@ -134,12 +130,6 @@ def run_training(
         if opt == "mkor-h":
             hybrid = HybridState(window=cfg.window, switch_ratio=cfg.switch_ratio)
     elif opt == "kfac":
-        kcfg = KfacConfig(
-            gamma=cfg.gamma,
-            damping=cfg.damping,
-            inversion_period=cfg.inversion_period,
-            lr=cfg.lr,
-        )
         factor_states = [
             [KfacState.identity_init(s.out_dim, s.in_dim) for s in specs]
             for _ in range(n_workers)
@@ -204,8 +194,7 @@ def run_training(
                     nets[w], grads, lr_t, cfg.momentum, sgd_states[w], bias_grads
                 )
         elif opt in ("mkor", "mkor-h"):
-            mcfg.lr = lr_t
-            f = mcfg.inversion_period
+            f = cfg.inversion_period
             synced = None
             if f > 0 and t % f == 0:
                 with counters.phase("factor_update"):
@@ -223,17 +212,14 @@ def run_training(
                     comm_bytes += payload * wire
             for w in range(n_workers):
                 mkor_step(
-                    nets[w], worker_caps[w], factor_states[w], mcfg,
-                    synced=synced, grads=grads, bias_grads=bias_grads,
+                    nets[w], factor_states[w], grads, bias_grads,
+                    lr_t, cfg.gamma, cfg.zeta, cfg.epsilon_norm, synced=synced,
                 )
         elif opt == "kfac":
-            kcfg.lr = lr_t
             for w in range(n_workers):
                 for l in range(len(specs)):
-                    st = factor_states[w][l]
-                    st.iterations += 1
-                    kfac_accumulate(st, worker_caps[w][l], kcfg.gamma)
-            f = kcfg.inversion_period
+                    kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
+            f = cfg.inversion_period
             if f > 0 and t % f == 0:
                 with counters.phase("factor_update"):
                     if n_workers > 1:
@@ -257,7 +243,7 @@ def run_training(
                     comm_bytes += payload * WIRE_BYTES_FULL
                 for w in range(n_workers):
                     for l in range(len(specs)):
-                        kfac_invert(factor_states[w][l], kcfg.damping)
+                        kfac_invert(factor_states[w][l], cfg.damping)
             for w in range(n_workers):
                 for l in range(len(specs)):
                     st = factor_states[w][l]
@@ -265,10 +251,7 @@ def run_training(
                         delta = precondition(st.l_inv, grads[l], st.r_inv)
                     optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
         elif opt == "sngd":
-            sngd_step(
-                nets[0], worker_caps[0], cfg.damping, lr_t,
-                grads=grads, bias_grads=bias_grads,
-            )
+            sngd_step(nets[0], worker_caps[0], grads, bias_grads, cfg.damping, lr_t)
             comm_elements += sum(
                 2 * cfg.batch * max(s.in_dim, s.out_dim) + cfg.batch**2 for s in specs
             )
@@ -313,15 +296,6 @@ def run_training(
         switch_iteration=switch_iteration,
         weight_digests=digests,
         rank1_records=rank1_records,
+        states=factor_states[0] if factor_states else [],
     )
 
-
-def simulate_workers(
-    n_workers: int,
-    cfg: ExperimentConfig,
-    shards: list[Dataset] | None = None,
-    trace_weights: bool = False,
-) -> RunResult:
-    """Logical multi-worker run; thin wrapper fixing cfg.workers = n_workers."""
-    cfg.workers = n_workers
-    return run_training(cfg, shards=shards, trace_weights=trace_weights)

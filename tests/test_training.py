@@ -1,0 +1,147 @@
+import json
+
+import numpy as np
+import pytest
+
+from kronopt import cli, harness, linalg
+from kronopt.config import load_config
+from kronopt.net import backward, forward
+from kronopt.optim import FactorState, KfacState
+from kronopt.prune import greedy_prune, prune_and_measure
+from kronopt.training import build_dataset, run_training
+
+
+def _expected_prune_report(cfg, layer: int, k: int) -> dict:
+    """The prune report worked out by hand from what run_training returns."""
+    result = run_training(cfg)
+    net, states = result.net, result.states
+    ds = build_dataset(cfg)
+    _, trace = forward(net, ds.x)
+    _, caps = backward(net, trace, ds.y, cfg.loss)
+    left = linalg.direct_inverse(states[layer].l_inv)
+    right = linalg.direct_inverse(states[layer].r_inv)
+    mask = greedy_prune(net.weights[layer], caps[layer].w_grad, left, right, k)
+    true_delta, predicted = prune_and_measure(net, ds.x, ds.y, cfg.loss, layer, mask, left, right)
+    return {
+        "layer": layer,
+        "k": k,
+        "tile": None,
+        "pruned": int(np.count_nonzero(~mask.keep)),
+        "true_loss_delta": true_delta,
+        "predicted_loss_delta": predicted,
+    }
+
+
+# Each of these settings changes the trained weights, so the network that prune
+# scores must come from run_training itself.
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["scheduler=knee"],
+        ["optimizer=mkor-h", "window=5"],
+        ["workers=2"],
+    ],
+    ids=["knee", "mkor-h", "workers2"],
+)
+def test_prune_scores_the_trained_network(tmp_path, overrides):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert cli.main(["prune", "--seed", "0", "--k", "3", "--out", str(tmp_path), *sets]) == 0
+    got = json.loads((tmp_path / "prune_report.json").read_text())
+    want = _expected_prune_report(load_config(None, overrides, seed=0), layer=0, k=3)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "optimizer, state_type",
+    [("mkor", FactorState), ("mkor-h", FactorState), ("kfac", KfacState), ("sgd", None), ("sngd", None)],
+)
+def test_run_result_carries_worker0_states(optimizer, state_type):
+    cfg = load_config(None, [f"optimizer={optimizer}", "iterations=3"], seed=0)
+    states = run_training(cfg).states
+    if state_type is None:
+        assert states == []
+    else:
+        assert len(states) == len(cfg.layer_specs())
+        assert all(isinstance(st, state_type) for st in states)
+
+
+class _TrainingReached(Exception):
+    pass
+
+
+def _no_training(cfg, *args, **kwargs):
+    raise _TrainingReached
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make any training attempt raise, so a check shown to exit 2 ran first."""
+    monkeypatch.setattr(cli, "run_training", _no_training)
+    monkeypatch.setattr(harness, "run_training", _no_training)
+
+
+BAD_CONFIG_ARGS = {
+    "epsilon_norm=0": ["--set", "epsilon_norm=0"],
+    "epsilon_norm<0": ["--set", "epsilon_norm=-1"],
+    "damping=0": ["--set", "damping=0"],
+    "damping<0": ["--set", "damping=-1e-3"],
+    "beta=0": ["--set", "beta=0"],
+    "beta=1": ["--set", "beta=1"],
+    "decay_factor=0": ["--set", "decay_factor=0"],
+    "decay_factor=1.5": ["--set", "decay_factor=1.5"],
+    "window=0": ["--set", "window=0"],
+    "seed<0": ["--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("verb", ["train", "prune"])
+@pytest.mark.parametrize("bad", list(BAD_CONFIG_ARGS.values()), ids=list(BAD_CONFIG_ARGS))
+def test_bad_config_value_exits_2(tmp_path, no_training, capsys, verb, bad):
+    args = [verb, "--out", str(tmp_path)] + (["--seed", "0"] if "--seed" not in bad else []) + bad
+    assert cli.main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# The default network is 2 -> 8 -> 1, so layer 0 has an 8x2 weight (16 units).
+BAD_PRUNE_ARGS = {
+    "tile-not-a-size": ["--tile", "abc"],
+    "tile-zero": ["--tile", "0x1"],
+    "tile-negative": ["--tile=-2x1"],
+    "tile-three-parts": ["--tile", "2x1x1"],
+    "tile-not-dividing": ["--tile", "3x1"],
+    "k-above-units": ["--k", "17"],
+    "k-above-tiles": ["--tile", "2x2", "--k", "5"],
+    "k-negative": ["--k", "-1"],
+    "layer-too-high": ["--layer", "2"],
+    "layer-negative": ["--layer", "-1"],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PRUNE_ARGS.values()), ids=list(BAD_PRUNE_ARGS))
+def test_bad_prune_argument_exits_2_before_training(tmp_path, no_training, capsys, bad):
+    assert cli.main(["prune", "--seed", "0", "--out", str(tmp_path), *bad]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_good_prune_arguments_reach_training(tmp_path, no_training):
+    with pytest.raises(_TrainingReached):
+        cli.main(["prune", "--seed", "0", "--out", str(tmp_path), "--tile", "4x2", "--k", "2"])
+
+
+ARTIFACTS = ("loss.csv", "summary.json", "model.ckpt")
+TINY_XOR = ["iterations=20", "inversion_period=5", "window=5"]
+
+
+@pytest.mark.parametrize(
+    "optimizer, workers",
+    [(opt, w) for opt in ("mkor", "mkor-h", "kfac", "sgd") for w in (1, 4)] + [("sngd", 1)],
+)
+def test_artifacts_are_a_function_of_config_and_seed(tmp_path, optimizer, workers):
+    overrides = TINY_XOR + [f"optimizer={optimizer}", f"workers={workers}"]
+    outputs = []
+    for run in ("a", "b"):
+        result = harness.run_experiment(load_config(None, overrides, seed=3), str(tmp_path / run))
+        assert result.workers_identical
+        outputs.append({name: (tmp_path / run / name).read_bytes() for name in ARTIFACTS})
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]["summary.json"])["workers_identical"] is True
