@@ -1,5 +1,5 @@
-"""Diagnostics: rank-1 approximation error of covariance matrices, factor
-spectra, and executable checks for the method's stability and descent claims.
+"""Diagnostics: rank-1 approximation error of covariance matrices and
+executable checks for the method's stability and descent claims.
 
 Error metric for rank-1 approximation is Frobenius-relative,
 ||C - alpha v v^T||_F / ||C||_F, with alpha chosen by least squares; the
@@ -101,13 +101,6 @@ def covariance_records(
                 )
             )
     return records
-
-
-def factor_spectrum_report(f: np.ndarray, iters: int = 200) -> tuple[float, float, float]:
-    """(lambda_max, lambda_min, condition number) of a symmetric factor;
-    the minimum eigenvalue is floored at 1e-300 for the ratio."""
-    lam_max, lam_min = linalg.power_iteration_extremes(f, iters)
-    return lam_max, lam_min, lam_max / max(lam_min, 1e-300)
 
 
 def make_spd(rng: np.random.Generator, d: int, jitter: float = 0.5) -> np.ndarray:

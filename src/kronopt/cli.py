@@ -99,6 +99,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cost_report(args) -> int:
+    if args.d < 1 or args.b < 1:
+        raise ConfigError(f"--d and --b must be >= 1, got --d {args.d} --b {args.b}")
     rows = []
     for tag in costs.OPTIMIZERS:
         rep = costs.analytic_cost(tag, args.d, args.b, half_precision=tag.startswith("mkor"))

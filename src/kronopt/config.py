@@ -29,6 +29,8 @@ from .sched import DEFAULT_MILESTONES
 
 TRAINABLE_OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "sgd")
 SCHEDULERS = ("none", "knee", "step")
+# SNGD inverts a batch x batch kernel per layer; desk scale keeps it small.
+MAX_SNGD_BATCH = 64
 
 
 class ConfigError(Exception):
@@ -125,8 +127,8 @@ class ExperimentConfig:
         if self.optimizer == "sngd":
             if self.workers != 1:
                 raise ConfigError("sngd supports a single logical worker")
-            if self.batch > 64:
-                raise ConfigError("sngd batch is capped at 64 at desk scale")
+            if self.batch > MAX_SNGD_BATCH:
+                raise ConfigError(f"sngd batch is capped at {MAX_SNGD_BATCH} at desk scale")
         if self.dataset_kind == "idx":
             for p in (self.dataset_images, self.dataset_labels):
                 if not p:

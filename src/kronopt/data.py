@@ -23,8 +23,6 @@ SYNTH_KINDS = ("xor", "gaussian-blobs", "random-autoencoder")
 class Dataset:
     x: np.ndarray  # features x n
     y: np.ndarray  # targets x n
-    loss: str  # "mse" | "softmax_cross_entropy"
-    kind: str = "synthetic"
 
     @property
     def n(self) -> int:
@@ -40,7 +38,7 @@ def synth_dataset(kind: str, n: int, seed: int, **params) -> Dataset:
         reps = max(1, -(-n // 4))
         x = np.tile(XOR_POINTS, reps)[:, :max(n, 4)]
         y = np.tile(XOR_TARGETS, reps)[:, :max(n, 4)]
-        return Dataset(x=x, y=y, loss="mse", kind=kind)
+        return Dataset(x=x, y=y)
     rng = linalg.make_rng(seed)
     if kind == "gaussian-blobs":
         dim = int(params.get("dim", 8))
@@ -52,7 +50,7 @@ def synth_dataset(kind: str, n: int, seed: int, **params) -> Dataset:
         x = means[:, labels] + sigma * rng.standard_normal((dim, n))
         y = np.zeros((classes, n))
         y[labels, np.arange(n)] = 1.0
-        return Dataset(x=x, y=y, loss="softmax_cross_entropy", kind=kind)
+        return Dataset(x=x, y=y)
     if kind == "random-autoencoder":
         dim = int(params.get("dim", 32))
         rank = int(params.get("rank", 4))
@@ -62,7 +60,7 @@ def synth_dataset(kind: str, n: int, seed: int, **params) -> Dataset:
         latent = rng.standard_normal((rank, n))
         center = offset * rng.standard_normal(dim)
         x = mixing @ latent + center[:, None] + noise * rng.standard_normal((dim, n))
-        return Dataset(x=x, y=x.copy(), loss="mse", kind=kind)
+        return Dataset(x=x, y=x.copy())
     raise ValueError(f"unknown synthetic dataset {kind!r}")
 
 
@@ -105,7 +103,7 @@ def idx_dataset(images_path: str, labels_path: str) -> Dataset:
     classes = int(lab.max()) + 1
     y = np.zeros((classes, lab.shape[0]))
     y[lab, np.arange(lab.shape[0])] = 1.0
-    return Dataset(x=x, y=y, loss="softmax_cross_entropy", kind="idx")
+    return Dataset(x=x, y=y)
 
 
 def shard_dataset(ds: Dataset, n_workers: int, seed: int) -> list[Dataset]:
@@ -119,12 +117,7 @@ def shard_dataset(ds: Dataset, n_workers: int, seed: int) -> list[Dataset]:
         if idx.size == 0:
             raise ValueError(f"shard {w} is empty (n={ds.n}, workers={n_workers})")
         shards.append(
-            Dataset(
-                x=np.ascontiguousarray(ds.x[:, idx]),
-                y=np.ascontiguousarray(ds.y[:, idx]),
-                loss=ds.loss,
-                kind=ds.kind,
-            )
+            Dataset(x=np.ascontiguousarray(ds.x[:, idx]), y=np.ascontiguousarray(ds.y[:, idx]))
         )
     return shards
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_as_dict
+from .config import ConfigError, ExperimentConfig, apply_assignment, config_as_dict
 from .costs import COST_CSV_COLUMNS, cost_csv_rows
 from .net import save_checkpoint
 from .training import RunResult, run_training
@@ -121,22 +121,21 @@ def _sweep_cell(args):
     }
 
 
-def _cell_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+def _cell_config(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
+    """The checked config of one sweep cell: ``cfg`` with ``axis`` set to
+    ``value`` as a config key would be."""
     cell = replace(cfg, dataset_params=dict(cfg.dataset_params))
-    if axis == "inversion_period":
-        cell.inversion_period = int(value)
-    elif axis == "lr":
-        cell.lr = float(value)
-    elif axis == "workers":
-        cell.workers = int(value)
-    elif axis == "d":
-        d = int(value)
-        cell.net_dims = tuple(d for _ in cfg.net_dims)
-        if cfg.dataset_kind == "random-autoencoder":
-            cell.dataset_params["dim"] = d
+    if axis == "d":
+        # every layer and the autoencoder's data take width d
+        if cfg.dataset_kind != "random-autoencoder":
+            raise ConfigError("sweep axis d needs dataset.kind=random-autoencoder")
+        apply_assignment(cell, "net.dims", ",".join([value] * len(cfg.net_dims)))
+        apply_assignment(cell, "dataset.dim", value)
+    elif axis in SWEEP_AXES:
+        apply_assignment(cell, axis, value)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    return cell
+    return cell.validate()
 
 
 def sweep(
@@ -149,14 +148,16 @@ def sweep(
     """Grid over one axis, one run_experiment per cell, shared seed.
 
     Cells run in parallel processes when KRONOPT_THREADS allows; each cell is
-    internally deterministic and owns its subdirectory.
+    internally deterministic and owns its subdirectory.  Every cell's config
+    is checked before any cell runs or anything is written.
     """
+    if not values:
+        raise ConfigError(f"sweep over {axis} lists no values")
+    cells = [
+        (_cell_config(cfg, axis, value), os.path.join(out_dir, f"{axis}_{value}"), include_wall)
+        for value in values
+    ]
     os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    for value in values:
-        cell_cfg = _cell_config(cfg, axis, value)
-        cell_dir = os.path.join(out_dir, f"{axis}_{value}")
-        cells.append((cell_cfg, cell_dir, include_wall))
     max_workers = max(1, int(os.environ.get("KRONOPT_THREADS", "1")))
     if max_workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(cells))) as pool:

@@ -216,10 +216,6 @@ def cholesky(m) -> np.ndarray | None:
     return c
 
 
-def is_positive_definite(m) -> bool:
-    return cholesky(m) is not None
-
-
 def _start_vector(n: int) -> np.ndarray:
     # Deterministic, generically non-orthogonal to any fixed eigenvector.
     v = 1.0 + np.arange(n, dtype=np.float64) / max(n, 1)

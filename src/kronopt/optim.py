@@ -39,7 +39,6 @@ from .net import LayerCapture, NetworkState
 logger = logging.getLogger(__name__)
 
 FP16_MAX = 65504.0
-fp16_clamp_count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +109,12 @@ class SgdState:
 def fp16_roundtrip(x):
     """Round each entry to the nearest IEEE binary16 value, then widen back.
 
-    Entries beyond the fp16 range are clamped to +-65504; clamps are counted
-    in ``fp16_clamp_count`` and logged.
+    Entries beyond the fp16 range are clamped to +-65504, with a logged
+    warning.
     """
-    global fp16_clamp_count
     arr = np.asarray(x, dtype=np.float64)
     over = np.count_nonzero(np.abs(arr) > FP16_MAX)
     if over:
-        fp16_clamp_count += over
         logger.warning("fp16 roundtrip clamped %d entries", over)
         arr = np.clip(arr, -FP16_MAX, FP16_MAX)
     out = arr.astype(np.float16).astype(np.float64)
@@ -258,17 +255,15 @@ def mkor_step(
     zeta: float,
     epsilon_norm: float,
     synced: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[np.ndarray]:
-    """One optimizer iteration over all layers; returns the applied deltas.
+) -> None:
+    """One optimizer iteration over all layers.
 
     ``synced`` carries the allreduced (a_bar, g_bar) per layer on the
     iterations the caller chose for a factor update: each layer's inverses
     then take a stabilized rank-1 update before preconditioning.  Without it
     the cached inverses precondition unchanged.
     """
-    deltas = []
-    for idx, st in enumerate(states):
-        grad = grads[idx]
+    for idx, (st, grad) in enumerate(zip(states, grads)):
         if synced is not None:
             with counters.phase("factor_update"):
                 st.a_bar, st.g_bar = synced[idx]
@@ -278,9 +273,7 @@ def mkor_step(
                 st.r_inv = sm_update(r_hat, st.a_bar, gamma)
         with counters.phase("precondition"):
             delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
-        deltas.append(delta)
         _apply_update(net, idx, delta, bias_grads[idx], lr)
-    return deltas
 
 
 def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> None:
@@ -302,23 +295,18 @@ def kfac_invert(state: KfacState, damping: float) -> None:
         state.r_inv = linalg.direct_inverse(add(state.r_cov, scale(eye_r, damping)))
 
 
-MAX_SNGD_BATCH = 64
-
-
 def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarray]:
     """SMW-based natural-gradient update per layer:
 
         (1/mu) * (I - U (A^T A . G^T G + mu I)^-1 U^T) vec(grad)
 
     realized in matrix form without materializing U; the inverted kernel is
-    b x b.  Desk-scale guard: batch must not exceed 64 samples.
+    b x b (``config.MAX_SNGD_BATCH`` bounds b).
     """
     updates = []
     for cap in captures:
         a, g, grad = cap.a_prev, cap.g, cap.w_grad
         b = a.shape[1]
-        if b > MAX_SNGD_BATCH:
-            raise ValueError(f"sngd batch {b} exceeds desk-scale bound {MAX_SNGD_BATCH}")
         with counters.phase("factor_update"):
             kern = matmul(transpose(a), a) * matmul(transpose(g), g)
             counters.add_flops(float(kern.size))
@@ -335,22 +323,10 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
     return updates
 
 
-def sngd_step(
-    net: NetworkState,
-    captures: list[LayerCapture],
-    grads: list[np.ndarray],
-    bias_grads: list[np.ndarray | None],
-    mu: float,
-    lr: float,
-) -> list[np.ndarray]:
-    apply_caps = [
-        LayerCapture(a_prev=c.a_prev, g=c.g, w_grad=gr, b_grad=bg)
-        for c, gr, bg in zip(captures, grads, bias_grads)
-    ]
-    deltas = sngd_precondition(apply_caps, mu)
-    for idx, delta in enumerate(deltas):
-        _apply_update(net, idx, delta, bias_grads[idx], lr)
-    return deltas
+def sngd_step(net: NetworkState, captures: list[LayerCapture], mu: float, lr: float) -> None:
+    """Precondition each capture's own gradient and apply it (one worker)."""
+    for idx, (delta, cap) in enumerate(zip(sngd_precondition(captures, mu), captures)):
+        _apply_update(net, idx, delta, cap.b_grad, lr)
 
 
 def sgd_momentum_step(
@@ -359,29 +335,25 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
     state: SgdState,
-    bias_grads=None,
-) -> list[np.ndarray]:
+    bias_grads: list[np.ndarray | None],
+) -> None:
     """Heavy-ball update: v <- momentum*v + grad; W <- W - lr*v."""
     if not state.velocities:
         state.velocities = [np.zeros_like(w) for w in net.weights]
         state.bias_velocities = [
             None if b is None else np.zeros_like(b) for b in net.biases
         ]
-    deltas = []
-    for idx, grad in enumerate(grads):
+    for idx, (grad, bg) in enumerate(zip(grads, bias_grads)):
         vel = state.velocities[idx]
         np.multiply(vel, momentum, out=vel)
         np.add(vel, grad, out=vel)
         counters.add_flops(2.0 * vel.size)
-        deltas.append(vel.copy())
-        bg = None if bias_grads is None else bias_grads[idx]
         if bg is not None and net.biases[idx] is not None:
             bvel = state.bias_velocities[idx]
             np.multiply(bvel, momentum, out=bvel)
             np.add(bvel, bg, out=bvel)
             bg = bvel
-        _apply_update(net, idx, deltas[-1], bg, lr)
-    return deltas
+        _apply_update(net, idx, vel, bg, lr)
 
 
 def mkorh_maybe_switch(h: HybridState, loss_t: float) -> HybridState:

@@ -13,7 +13,6 @@ curvature factors, taken without damping.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,6 @@ import numpy as np
 from . import linalg
 from .linalg import matmul
 from .net import NetworkState, backward, forward, loss_value
-
-
-@dataclass
-class PruneScore:
-    i: int
-    j: int
-    delta_loss: float
 
 
 @dataclass
@@ -97,20 +89,6 @@ def greedy_prune(
         keep[i : i + tr, j : j + tc] = False
         delta[i : i + tr, j : j + tc] = -w0[i : i + tr, j : j + tc]
     return PruneMask(keep=keep, tile=tile)
-
-
-def element_scores(w0, grad, left, right) -> list[PruneScore]:
-    """Surrogate loss change for zeroing each single element in isolation."""
-    w0 = linalg.as_matrix(w0)
-    scores = []
-    for i in range(w0.shape[0]):
-        for j in range(w0.shape[1]):
-            dw = np.zeros_like(w0)
-            dw[i, j] = -w0[i, j]
-            scores.append(
-                PruneScore(i=i, j=j, delta_loss=taylor_predicted_loss(0.0, dw, grad, left, right))
-            )
-    return scores
 
 
 def prune_and_measure(

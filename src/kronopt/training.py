@@ -1,18 +1,24 @@
 """Training loop over logical workers: the only code that trains, and the
-only place that decides on which iterations the factors update.
+only place that decides on which iterations the factors sync.
 
 Workers are simulated sequentially in ascending id order inside one process,
 which makes every reduction order (and therefore every float result) fixed.
-Weight gradients are averaged across workers as ambient data-parallel
-traffic; the *optimizer's* communication tally counts only the second-order
-sync payload that the method itself ships (rank-1 vectors for the rank-1
-optimizer, covariance factors plus inverses for KFAC), matching the
+
+Sync rule: on 1-based iteration t a second-order optimizer syncs its factor
+statistics when inversion_period > 0 and t % inversion_period == 0; sngd
+syncs every iteration; sgd never syncs, and neither does mkor-h once it has
+switched to first order.  Cached inverses precondition every step.
+
+Traffic: weight gradients are averaged across workers as ambient
+data-parallel traffic and are not counted.  The optimizer's tally counts only
+the second-order payload a sync ships (rank-1 vectors for mkor, covariance
+factors plus inverses for KFAC, batch statistics for sngd), matching the
 complexity-table accounting where first-order rows communicate nothing.
+Nothing ships on one worker, so every optimizer reports zero traffic there.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -20,10 +26,10 @@ import numpy as np
 
 from . import counters, linalg, optim
 from .analysis import Rank1ErrorRecord, covariance_records
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .costs import WIRE_BYTES_FULL, WIRE_BYTES_HALF, RunTrace
 from .data import Dataset, batch_slice, shard_dataset, synth_dataset, idx_dataset
-from .net import NetworkState, backward, forward, init_network
+from .net import LayerSpec, NetworkState, backward, forward, init_network
 from .optim import (
     FactorState,
     HybridState,
@@ -41,6 +47,8 @@ from .optim import (
 )
 from .sched import KneePointState, knee_point_update, step_decay
 
+STATE_TYPES = {"mkor": FactorState, "mkor-h": FactorState, "kfac": KfacState}
+
 
 @dataclass
 class RunResult:
@@ -54,7 +62,6 @@ class RunResult:
     trace: RunTrace
     workers_identical: bool = True
     switch_iteration: int | None = None
-    weight_digests: list[str] = field(default_factory=list)
     rank1_records: list[Rank1ErrorRecord] = field(default_factory=list)
     states: list[FactorState | KfacState] = field(default_factory=list)
 
@@ -65,25 +72,17 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
 
 
-def _second_order_memory(states) -> float:
-    total = 0.0
-    for st in states:
-        if isinstance(st, FactorState):
-            total += st.l_inv.size + st.r_inv.size + st.a_bar.size + st.g_bar.size
-        elif isinstance(st, KfacState):
-            total += st.l_cov.size + st.r_cov.size + st.l_inv.size + st.r_inv.size
-    return total
-
-
-def _digest(nets: list[NetworkState]) -> str:
-    h = hashlib.sha256()
-    for net in nets:
-        for w in net.weights:
-            h.update(w.tobytes())
-        for b in net.biases:
-            if b is not None:
-                h.update(b.tobytes())
-    return h.hexdigest()
+def _layer_elements(opt: str, s: LayerSpec, batch: int) -> tuple[int, int]:
+    """(elements one sync ships, elements the optimizer holds) for one layer."""
+    i, o = s.in_dim, s.out_dim
+    if opt in ("mkor", "mkor-h"):  # the rank-1 vectors; both inverses and the vectors
+        return i + o, i * i + o * o + i + o
+    if opt == "kfac":  # covariances synced and inverses broadcast; both held
+        return 2 * (i * i + o * o), 2 * (i * i + o * o)
+    if opt == "sngd":  # batch activations and gradients plus the batch kernel
+        k = 2 * batch * max(i, o) + batch * batch
+        return k, k
+    return 0, i * o  # sgd: one velocity per weight
 
 
 def _mean_over_workers(arrays: list[np.ndarray]) -> np.ndarray:
@@ -93,23 +92,17 @@ def _mean_over_workers(arrays: list[np.ndarray]) -> np.ndarray:
     return acc / float(len(arrays))
 
 
-def run_training(
-    cfg: ExperimentConfig,
-    shards: list[Dataset] | None = None,
-    trace_weights: bool = False,
-) -> RunResult:
+def run_training(cfg: ExperimentConfig) -> RunResult:
     """Run the configured experiment; returns losses, worker 0's final net and
-    factor states, and the instrumentation trace.  ``shards`` overrides
-    dataset construction and sharding, which lets callers hand identical
-    shards to several workers."""
+    factor states, and the instrumentation trace."""
     cfg.validate()
-    if shards is None:
-        shards = shard_dataset(build_dataset(cfg), cfg.workers, cfg.seed)
-    if len(shards) != cfg.workers:
-        raise ValueError(f"expected {cfg.workers} shards, got {len(shards)}")
-    for i, sh in enumerate(shards):
-        if sh.n == 0:
-            raise ValueError(f"shard {i} is empty")
+    shards = shard_dataset(build_dataset(cfg), cfg.workers, cfg.seed)
+    rows = (shards[0].x.shape[0], shards[0].y.shape[0])
+    if rows != (cfg.net_dims[0], cfg.net_dims[-1]):
+        raise ConfigError(
+            f"net.dims {','.join(map(str, cfg.net_dims))} do not fit the dataset: "
+            f"it has {rows[0]} input rows and {rows[1]} target rows"
+        )
 
     counters.reset()
     n_workers = cfg.workers
@@ -119,34 +112,29 @@ def run_training(
     nets = [base_net] + [base_net.copy() for _ in range(n_workers - 1)]
 
     opt = cfg.optimizer
-    factor_states: list[list] = []
+    state_type = STATE_TYPES.get(opt)
+    factor_states = [
+        [state_type.identity_init(s.out_dim, s.in_dim) for s in specs] if state_type else []
+        for _ in range(n_workers)
+    ]
     sgd_states = [SgdState() for _ in range(n_workers)]
-    hybrid = None
-    if opt in ("mkor", "mkor-h"):
-        factor_states = [
-            [FactorState.identity_init(s.out_dim, s.in_dim) for s in specs]
-            for _ in range(n_workers)
-        ]
-        if opt == "mkor-h":
-            hybrid = HybridState(window=cfg.window, switch_ratio=cfg.switch_ratio)
-    elif opt == "kfac":
-        factor_states = [
-            [KfacState.identity_init(s.out_dim, s.in_dim) for s in specs]
-            for _ in range(n_workers)
-        ]
-
+    hybrid = HybridState(window=cfg.window, switch_ratio=cfg.switch_ratio) \
+        if opt == "mkor-h" else None
     knee = KneePointState(lr=cfg.lr, beta=cfg.beta, decay_factor=cfg.decay_factor) \
         if cfg.scheduler == "knee" else None
     epoch_iters = cfg.epoch_iters or max(1, -(-shards[0].n // cfg.batch))
-    wire = WIRE_BYTES_HALF if cfg.half_precision_comm else WIRE_BYTES_FULL
+    period = cfg.inversion_period
+    payload, memory = (sum(c) for c in zip(*(_layer_elements(opt, s, cfg.batch) for s in specs)))
+    if state_type is not None:
+        memory = float(memory)  # factor-state totals are reported as floats
+    # only the rank-1 vectors travel in half precision
+    wire = WIRE_BYTES_HALF if cfg.half_precision_comm and opt.startswith("mkor") \
+        else WIRE_BYTES_FULL
 
     losses: list[float] = []
     lrs: list[float] = []
-    digests: list[str] = []
     rank1_records: list[Rank1ErrorRecord] = []
     step_wall: list[float] = []
-    comm_elements = 0.0
-    comm_bytes = 0.0
     sync_events = 0
     switch_iteration = None
     lr_t = cfg.lr
@@ -187,60 +175,31 @@ def run_training(
             mkorh_maybe_switch(hybrid, loss_t)
             if hybrid.mode == "first_order" and switch_iteration is None:
                 switch_iteration = t
+        first_order = opt == "sgd" or switch_iteration is not None
+        sync = not first_order and (opt == "sngd" or (period > 0 and t % period == 0))
+        sync_events += sync
 
-        if opt == "sgd" or (hybrid is not None and hybrid.mode == "first_order"):
+        if first_order:
             for w in range(n_workers):
                 sgd_momentum_step(
                     nets[w], grads, lr_t, cfg.momentum, sgd_states[w], bias_grads
                 )
-        elif opt in ("mkor", "mkor-h"):
-            f = cfg.inversion_period
-            synced = None
-            if f > 0 and t % f == 0:
-                with counters.phase("factor_update"):
-                    synced = [
-                        allreduce_rank1(
-                            [rank1_reduce(worker_caps[w][l]) for w in range(n_workers)],
-                            half_precision=cfg.half_precision_comm,
-                        )
-                        for l in range(len(specs))
-                    ]
-                sync_events += 1
-                if n_workers > 1:
-                    payload = sum(s.in_dim + s.out_dim for s in specs)
-                    comm_elements += payload
-                    comm_bytes += payload * wire
-            for w in range(n_workers):
-                mkor_step(
-                    nets[w], factor_states[w], grads, bias_grads,
-                    lr_t, cfg.gamma, cfg.zeta, cfg.epsilon_norm, synced=synced,
-                )
+        elif opt == "sngd":
+            sngd_step(nets[0], worker_caps[0], cfg.damping, lr_t)
         elif opt == "kfac":
             for w in range(n_workers):
                 for l in range(len(specs)):
                     kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
-            f = cfg.inversion_period
-            if f > 0 and t % f == 0:
-                with counters.phase("factor_update"):
-                    if n_workers > 1:
-                        for l in range(len(specs)):
-                            l_cov = _mean_over_workers(
-                                [factor_states[w][l].l_cov for w in range(n_workers)]
-                            )
-                            r_cov = _mean_over_workers(
-                                [factor_states[w][l].r_cov for w in range(n_workers)]
-                            )
-                            for w in range(n_workers):
-                                factor_states[w][l].l_cov = l_cov.copy()
-                                factor_states[w][l].r_cov = r_cov.copy()
-                sync_events += 1
+            if sync:
                 if n_workers > 1:
-                    # covariances synchronized + inverses broadcast
-                    payload = sum(
-                        2 * (s.in_dim**2 + s.out_dim**2) for s in specs
-                    )
-                    comm_elements += payload
-                    comm_bytes += payload * WIRE_BYTES_FULL
+                    with counters.phase("factor_update"):
+                        for l in range(len(specs)):
+                            for attr in ("l_cov", "r_cov"):
+                                mean = _mean_over_workers(
+                                    [getattr(factor_states[w][l], attr) for w in range(n_workers)]
+                                )
+                                for w in range(n_workers):
+                                    setattr(factor_states[w][l], attr, mean.copy())
                 for w in range(n_workers):
                     for l in range(len(specs)):
                         kfac_invert(factor_states[w][l], cfg.damping)
@@ -250,29 +209,32 @@ def run_training(
                     with counters.phase("precondition"):
                         delta = precondition(st.l_inv, grads[l], st.r_inv)
                     optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
-        elif opt == "sngd":
-            sngd_step(nets[0], worker_caps[0], grads, bias_grads, cfg.damping, lr_t)
-            comm_elements += sum(
-                2 * cfg.batch * max(s.in_dim, s.out_dim) + cfg.batch**2 for s in specs
-            )
-            comm_bytes = comm_elements * WIRE_BYTES_FULL
-            sync_events += 1
+        else:
+            synced = None
+            if sync:
+                with counters.phase("factor_update"):
+                    synced = [
+                        allreduce_rank1(
+                            [rank1_reduce(worker_caps[w][l]) for w in range(n_workers)],
+                            half_precision=cfg.half_precision_comm,
+                        )
+                        for l in range(len(specs))
+                    ]
+            for w in range(n_workers):
+                mkor_step(
+                    nets[w], factor_states[w], grads, bias_grads,
+                    lr_t, cfg.gamma, cfg.zeta, cfg.epsilon_norm, synced=synced,
+                )
 
         if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
             rank1_records.extend(covariance_records(worker_caps[0], t))
-        if trace_weights:
-            digests.append(_digest(nets))
         step_wall.append((time.perf_counter() - t0) * 1e3)
 
     workers_identical = all(
         all(np.array_equal(nets[w].weights[l], nets[0].weights[l]) for l in range(len(specs)))
         for w in range(1, n_workers)
     )
-
-    memory = _second_order_memory(factor_states[0]) if factor_states else (
-        sum(w.size for w in nets[0].weights) if opt == "sgd" else
-        sum(2 * cfg.batch * max(s.in_dim, s.out_dim) + cfg.batch**2 for s in specs)
-    )
+    comm_elements = float(payload * sync_events) if n_workers > 1 else 0.0
     trace = RunTrace(
         optimizer=opt,
         d=max(max(s.in_dim, s.out_dim) for s in specs),
@@ -282,7 +244,7 @@ def run_training(
         flops=counters.flops_snapshot(),
         wall_ms=counters.wall_snapshot_ms(),
         comm_elements=comm_elements,
-        comm_bytes=comm_bytes,
+        comm_bytes=comm_elements * wire,
         memory_elements=memory,
         sync_events=sync_events,
         step_wall_ms=step_wall,
@@ -294,8 +256,6 @@ def run_training(
         trace=trace,
         workers_identical=workers_identical,
         switch_iteration=switch_iteration,
-        weight_digests=digests,
         rank1_records=rank1_records,
-        states=factor_states[0] if factor_states else [],
+        states=factor_states[0],
     )
-

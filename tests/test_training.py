@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from kronopt import cli, harness, linalg
+from kronopt import cli, harness, linalg, training
 from kronopt.config import load_config
 from kronopt.net import backward, forward
 from kronopt.optim import FactorState, KfacState
@@ -145,3 +146,83 @@ def test_artifacts_are_a_function_of_config_and_seed(tmp_path, optimizer, worker
         outputs.append({name: (tmp_path / run / name).read_bytes() for name in ARTIFACTS})
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0]["summary.json"])["workers_identical"] is True
+
+
+# Each of these once ran cells or ended in a traceback; the sweep must refuse
+# before any cell runs and leave no output behind.
+BAD_SWEEP_ARGS = {
+    "value-not-a-number": (["--axis", "lr", "--values", "0.1,abc"], "lr: could not convert"),
+    "no-values": (["--axis", "lr", "--values", ","], "lists no values"),
+    "d-without-autoencoder": (["--axis", "d", "--values", "4,8"], "dataset.kind=random-autoencoder"),
+}
+
+
+@pytest.mark.parametrize("bad, message", list(BAD_SWEEP_ARGS.values()), ids=list(BAD_SWEEP_ARGS))
+def test_bad_sweep_exits_2_and_writes_nothing(tmp_path, no_training, capsys, bad, message):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--seed", "0", "--out", str(out), *bad]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_net_dims_that_do_not_fit_the_dataset_exit_2_before_iteration_1(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(training, "batch_slice", _no_training)
+    args = ["train", "--seed", "0", "--out", str(tmp_path), "--set", "net.dims=3,8,1"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "net.dims 3,8,1" in err
+    assert "2 input rows and 1 target rows" in err
+
+
+@pytest.mark.parametrize("bad", [["--d", "0"], ["--b", "0"]], ids=["d=0", "b=0"])
+def test_bad_cost_report_size_exits_2(tmp_path, capsys, bad):
+    assert cli.main(["cost-report", "--seed", "0", "--out", str(tmp_path), *bad]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nothing_ships_on_one_worker_for_sngd():
+    trace = run_training(load_config(None, ["optimizer=sngd", "iterations=3"], seed=0)).trace
+    assert trace.comm_elements == 0
+    assert trace.comm_bytes == 0
+    assert trace.sync_events == 3
+
+
+TINY_AE = [
+    "dataset.kind=random-autoencoder", "dataset.dim=6", "net.dims=6,4,6",
+    "dataset.n=32", "batch=8", "lr=0.01", "iterations=12", "inversion_period=3",
+]
+
+
+@pytest.mark.parametrize(
+    "base, axis, values",
+    [
+        (TINY_XOR, "lr", ["0.05", "0.2"]),
+        (TINY_XOR, "workers", ["1", "2"]),
+        (TINY_XOR, "inversion_period", ["0", "4"]),
+        (TINY_AE, "d", ["4", "8"]),
+    ],
+    ids=["lr", "workers", "inversion_period", "d"],
+)
+def test_sweep_cells_match_run_experiment(tmp_path, base, axis, values):
+    cfg = load_config(None, base, seed=0)
+    harness.sweep(cfg, axis, values, str(tmp_path / "sweep"))
+    want_rows = [["axis", "value", "final_loss", "comm_elements",
+                  "flops_factor_update", "flops_precondition"]]
+    for value in values:
+        cell = [f"{axis}={value}"] if axis != "d" else [
+            f"net.dims={value},{value},{value}", f"dataset.dim={value}"
+        ]
+        single = tmp_path / "single" / value
+        result = harness.run_experiment(load_config(None, base + cell, seed=0), str(single))
+        flops = result.trace.flops
+        want_rows.append([
+            axis, value, repr(result.losses[-1]), repr(result.trace.comm_elements),
+            repr(flops["factor_update"] + flops["inversion"]), repr(flops["precondition"]),
+        ])
+        swept = tmp_path / "sweep" / f"{axis}_{value}"
+        for name in ("loss.csv", "cost.csv", "summary.json", "model.ckpt"):
+            assert (swept / name).read_bytes() == (single / name).read_bytes(), (value, name)
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == want_rows

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Print ``cell artifact sha256`` for a fixed set of kronopt runs.
+
+A refactor counts as behaviour-preserving only when its artifacts are
+byte-identical to those of the code it replaces.  Run this once against each
+tree and diff the two listings:
+
+    python3 tools/artifact_digests.py --src OLD/src > old.txt
+    python3 tools/artifact_digests.py --src src > new.txt
+    diff old.txt new.txt
+
+``--src`` names the directory that holds the ``kronopt`` package.  Every run
+goes through ``kronopt.cli.main`` at ``--seed 0 iterations=60
+inversion_period=5`` on three datasets (xor; 3-class gaussian blobs; a
+16-dim random autoencoder under the knee scheduler):
+
+* {mkor, mkor-h (window=10), kfac, sgd} x workers {1, 4}, sngd, mkor with
+  half-precision comm at 4 workers and mkor with rank-1 profiling;
+* ``prune --seed 0`` on the default config;
+* ``sweep`` over each of its four axes.
+
+43 short runs; a few seconds on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+COMMON = ("iterations=60", "inversion_period=5")
+
+DATASETS = {
+    "xor": (),
+    "blobs": (
+        "dataset.kind=gaussian-blobs", "net.dims=8,16,3", "loss=softmax_cross_entropy",
+        "dataset.n=128", "batch=16",
+    ),
+    "ae": (
+        "dataset.kind=random-autoencoder", "dataset.dim=16", "net.dims=16,8,16",
+        "dataset.n=128", "batch=16", "lr=0.01", "scheduler=knee",
+    ),
+}
+
+RUNS = {
+    **{
+        f"{opt}-w{w}": (f"optimizer={opt}", f"workers={w}", *(("window=10",) if opt == "mkor-h" else ()))
+        for opt in ("mkor", "mkor-h", "kfac", "sgd")
+        for w in (1, 4)
+    },
+    "sngd": ("optimizer=sngd",),
+    "mkor-fp16-w4": ("optimizer=mkor", "workers=4", "half_precision_comm=true"),
+    "mkor-rank1": ("optimizer=mkor", "rank1_every=7"),
+}
+
+# (cell name, dataset, axis, values)
+SWEEPS = (
+    ("sweep-lr", "xor", "lr", "0.05,0.2"),
+    ("sweep-workers", "xor", "workers", "1,2,4"),
+    ("sweep-inversion_period", "xor", "inversion_period", "0,3"),
+    ("sweep-d", "ae", "d", "8,12"),
+)
+
+
+def _sets(overrides) -> list[str]:
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+def commands() -> dict[str, list[str]]:
+    """Cell name -> kronopt command line (without --out)."""
+    cmds = {}
+    for ds, ds_sets in DATASETS.items():
+        for run, run_sets in RUNS.items():
+            cmds[f"{ds}/{run}"] = ["train", "--seed", "0", *_sets(COMMON + ds_sets + run_sets)]
+    cmds["prune"] = ["prune", "--seed", "0"]
+    for name, ds, axis, values in SWEEPS:
+        cmds[name] = [
+            "sweep", "--seed", "0", "--axis", axis, "--values", values,
+            *_sets(COMMON + DATASETS[ds]),
+        ]
+    return cmds
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the kronopt package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from kronopt import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for cell, cmd in commands().items():
+            out = os.path.join(tmp, cell)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*cmd, "--out", out])
+            if code != 0:
+                print(f"{cell}: kronopt exited {code}", file=sys.stderr)
+                return 1
+            for root, _, files in sorted(os.walk(out)):
+                for name in sorted(files):
+                    if name == "plot_stub.py":
+                        continue
+                    path = os.path.join(root, name)
+                    print(cell, os.path.relpath(path, out), _digest(path))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
