@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
-    SingularMatrix,
+    NumericalError,
     add,
     direct_inverse,
     frobenius_norm,
@@ -163,7 +163,7 @@ def lemma3_check(dl: int, dr: int, zeta: float, trials: int, seed: int = 0) -> d
         zeta^2 L^-1 G R^-1 + zeta(1-zeta) L^-1 G + zeta(1-zeta) G R^-1
         + (1-zeta)^2 G
 
-    termwise.  Raises AssertionError on any violation."""
+    termwise.  Raises NumericalError on any violation."""
     if dl * dr > 64:
         raise ValueError("dense Kronecker check limited to dl*dr <= 64")
     rng = linalg.make_rng(seed)
@@ -181,7 +181,8 @@ def lemma3_check(dl: int, dr: int, zeta: float, trials: int, seed: int = 0) -> d
         br = add(scale(r_inv, zeta), scale(identity(dr), 1.0 - zeta))
         step = kron_dense(bl, br) @ grad
         descent = float(grad @ step)
-        assert descent > 0.0, f"descent violated: {descent}"
+        if not descent > 0.0:
+            raise NumericalError(f"descent violated: {descent}")
         min_descent = min(min_descent, descent)
 
         g_mat = rng.standard_normal((dl, dr))
@@ -193,7 +194,8 @@ def lemma3_check(dl: int, dr: int, zeta: float, trials: int, seed: int = 0) -> d
             + (1.0 - zeta) ** 2 * g_mat
         )
         err = float(np.max(np.abs(blended - four)))
-        assert err < 1e-10, f"four-term expansion mismatch: {err}"
+        if not err < 1e-10:
+            raise NumericalError(f"four-term expansion mismatch: {err}")
         max_expand_err = max(max_expand_err, err)
     return {
         "trials": trials,
@@ -251,7 +253,7 @@ def lemma1_chain(
 ) -> dict:
     """Drive a stabilize/sm_update chain from the identity and Cholesky-check
     positive-definiteness along the way.  Returns chain statistics; raises
-    SingularMatrix-free AssertionError if any check fails."""
+    NumericalError if any check fails."""
     from .optim import stabilize
 
     rng = linalg.make_rng(seed)
@@ -262,6 +264,7 @@ def lemma1_chain(
         f = sm_update(f, rng.standard_normal(d), gamma)
         if t % check_every == 0:
             chol = linalg.cholesky(f)
-            assert chol is not None, f"PD lost at step {t} (d={d})"
+            if chol is None:
+                raise NumericalError(f"PD lost at step {t} (d={d})")
             min_diag = min(min_diag, float(np.min(np.diag(chol))))
     return {"d": d, "steps": steps, "min_cholesky_diag": float(min_diag)}

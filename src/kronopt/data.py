@@ -107,15 +107,11 @@ def idx_dataset(images_path: str, labels_path: str) -> Dataset:
 
 
 def shard_dataset(ds: Dataset, n_workers: int, seed: int) -> list[Dataset]:
-    """Deterministic round-robin split after a seeded shuffle."""
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
+    """Deterministic round-robin split after a seeded shuffle (1 <= n_workers <= ds.n)."""
     perm = linalg.make_rng(seed).permutation(ds.n)
     shards = []
     for w in range(n_workers):
         idx = perm[w::n_workers]
-        if idx.size == 0:
-            raise ValueError(f"shard {w} is empty (n={ds.n}, workers={n_workers})")
         shards.append(
             Dataset(x=np.ascontiguousarray(ds.x[:, idx]), y=np.ascontiguousarray(ds.y[:, idx]))
         )

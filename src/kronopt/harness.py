@@ -54,9 +54,8 @@ def run_experiment(
 ) -> RunResult:
     """Train per config and write loss/cost/rank1 CSVs, a checkpoint, a
     summary JSON and a plotting stub into ``out_dir``."""
-    cfg.validate()
+    result = run_training(cfg)  # its config checks fail before out_dir exists
     os.makedirs(out_dir, exist_ok=True)
-    result = run_training(cfg)
 
     _write_csv(
         os.path.join(out_dir, "loss.csv"),

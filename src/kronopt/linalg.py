@@ -32,6 +32,11 @@ class SingularMatrix(LinalgError):
     """Matrix is singular to working precision."""
 
 
+class NumericalError(AssertionError):
+    """A numerical guarantee failed.  Raised explicitly, so ``python -O`` keeps
+    it; an AssertionError, so callers that map those to exit code 3 map it too."""
+
+
 # Relative pivot threshold: pivots below this times the input magnitude are
 # treated as exact zeros.  Chosen so condition numbers up to ~1e8 still invert.
 _PIVOT_RTOL = 1e-13

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import counters, linalg
 from .linalg import (
+    NumericalError,
     add,
     dot,
     identity,
@@ -47,21 +48,14 @@ FP16_MAX = 65504.0
 
 @dataclass
 class FactorState:
-    """Per-layer inverse factors plus the latest rank-1 vectors."""
+    """Per-layer inverse factors."""
 
     l_inv: np.ndarray
     r_inv: np.ndarray
-    a_bar: np.ndarray
-    g_bar: np.ndarray
 
     @classmethod
     def identity_init(cls, out_dim: int, in_dim: int) -> "FactorState":
-        return cls(
-            l_inv=identity(out_dim),
-            r_inv=identity(in_dim),
-            a_bar=np.zeros(in_dim),
-            g_bar=np.zeros(out_dim),
-        )
+        return cls(l_inv=identity(out_dim), r_inv=identity(in_dim))
 
 
 @dataclass
@@ -127,32 +121,6 @@ def rank1_reduce(capture: LayerCapture) -> tuple[np.ndarray, np.ndarray]:
     return mean_columns(capture.a_prev), mean_columns(capture.g)
 
 
-def allreduce_rank1(
-    workers: list[tuple[np.ndarray, np.ndarray]], half_precision: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise mean of per-worker (a_bar, g_bar), reduced in worker order.
-
-    With half_precision each vector is round-tripped through fp16 before
-    averaging, modeling the compressed wire format.
-    """
-    if not workers:
-        raise ValueError("allreduce over zero workers")
-    a0, g0 = workers[0]
-    acc_a = np.zeros_like(np.asarray(a0, dtype=np.float64))
-    acc_g = np.zeros_like(np.asarray(g0, dtype=np.float64))
-    for a, g in workers:
-        if a.shape != acc_a.shape or g.shape != acc_g.shape:
-            raise linalg.DimensionMismatch("worker vector dims differ")
-        if half_precision:
-            a = fp16_roundtrip(a)
-            g = fp16_roundtrip(g)
-        np.add(acc_a, a, out=acc_a)
-        np.add(acc_g, g, out=acc_g)
-    n = float(len(workers))
-    counters.add_flops((acc_a.size + acc_g.size) * (len(workers) + 1.0))
-    return acc_a / n, acc_g / n
-
-
 def stabilize(f_inv: np.ndarray, epsilon_norm: float, zeta: float) -> np.ndarray:
     """Blend toward the identity when the inverse factor's norm runs away.
 
@@ -179,7 +147,8 @@ def _sm_formula(f_inv, v, gamma: float, q=_identity_round):
     t1 = q(gamma * (1.0 - gamma))
     t2 = q(t1 * quad)
     t3 = q(1.0 + t2)
-    assert t3 >= 1.0, "rank-1 update denominator lost positivity"
+    if not t3 >= 1.0:
+        raise NumericalError("rank-1 update denominator lost positivity")
     denom = q(q(gamma * gamma) * t3)
     coeff = q((1.0 - gamma) / denom)
     term = q(scale(q(outer(u, u)), coeff))
@@ -266,11 +235,11 @@ def mkor_step(
     for idx, (st, grad) in enumerate(zip(states, grads)):
         if synced is not None:
             with counters.phase("factor_update"):
-                st.a_bar, st.g_bar = synced[idx]
+                a_bar, g_bar = synced[idx]
                 l_hat = stabilize(st.l_inv, epsilon_norm, zeta)
                 r_hat = stabilize(st.r_inv, epsilon_norm, zeta)
-                st.l_inv = sm_update(l_hat, st.g_bar, gamma)
-                st.r_inv = sm_update(r_hat, st.a_bar, gamma)
+                st.l_inv = sm_update(l_hat, g_bar, gamma)
+                st.r_inv = sm_update(r_hat, a_bar, gamma)
         with counters.phase("precondition"):
             delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
         _apply_update(net, idx, delta, bias_grads[idx], lr)

@@ -9,12 +9,13 @@ statistics when inversion_period > 0 and t % inversion_period == 0; sngd
 syncs every iteration; sgd never syncs, and neither does mkor-h once it has
 switched to first order.  Cached inverses precondition every step.
 
-Traffic: weight gradients are averaged across workers as ambient
-data-parallel traffic and are not counted.  The optimizer's tally counts only
-the second-order payload a sync ships (rank-1 vectors for mkor, covariance
-factors plus inverses for KFAC, batch statistics for sngd), matching the
-complexity-table accounting where first-order rows communicate nothing.
-Nothing ships on one worker, so every optimizer reports zero traffic there.
+Traffic: a mkor sync allreduces each layer's rank-1 vectors (through fp16
+under half_precision_comm); a KFAC sync allreduces each layer's covariance
+factors, worker 0 alone inverts them and broadcasts the inverses.  These
+collectives tally what they ship, and nothing ships on one worker (sngd's
+only setting).  Weight gradients are averaged as ambient data-parallel
+traffic and are not counted, matching the complexity-table accounting where
+first-order rows communicate nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .optim import (
     HybridState,
     KfacState,
     SgdState,
-    allreduce_rank1,
+    fp16_roundtrip,
     kfac_accumulate,
     kfac_invert,
     mkor_step,
@@ -72,37 +73,64 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
 
 
-def _layer_elements(opt: str, s: LayerSpec, batch: int) -> tuple[int, int]:
-    """(elements one sync ships, elements the optimizer holds) for one layer."""
+def _layer_memory(opt: str, s: LayerSpec, batch: int) -> int:
+    """Elements the optimizer holds for one layer."""
     i, o = s.in_dim, s.out_dim
-    if opt in ("mkor", "mkor-h"):  # the rank-1 vectors; both inverses and the vectors
-        return i + o, i * i + o * o + i + o
-    if opt == "kfac":  # covariances synced and inverses broadcast; both held
-        return 2 * (i * i + o * o), 2 * (i * i + o * o)
+    if opt in ("mkor", "mkor-h"):  # both inverses, and the rank-1 vectors held during a sync
+        return i * i + o * o + i + o
+    if opt == "kfac":  # both covariances and both inverses
+        return 2 * (i * i + o * o)
     if opt == "sngd":  # batch activations and gradients plus the batch kernel
-        k = 2 * batch * max(i, o) + batch * batch
-        return k, k
-    return 0, i * o  # sgd: one velocity per weight
+        return 2 * batch * max(i, o) + batch * batch
+    return i * o  # sgd: one velocity per weight
 
 
-def _mean_over_workers(arrays: list[np.ndarray]) -> np.ndarray:
+def _mean_over_workers(arrays) -> np.ndarray:
     acc = np.zeros_like(arrays[0])
     for a in arrays:
         np.add(acc, a, out=acc)
     return acc / float(len(arrays))
 
 
+@dataclass
+class Traffic:
+    """Elements and bytes the optimizer's collectives ship between workers."""
+
+    workers: int
+    elements: float = 0.0
+    wire_bytes: float = 0.0
+
+    def ship(self, size: int, half_precision: bool = False) -> None:
+        if self.workers > 1:  # nothing ships on one worker
+            self.elements += size
+            self.wire_bytes += size * (WIRE_BYTES_HALF if half_precision else WIRE_BYTES_FULL)
+
+
+def _allreduce(arrays, traffic: Traffic, half_precision: bool = False) -> np.ndarray:
+    """Mean of one optimizer payload over the workers: each array rounded
+    through fp16 under ``half_precision``, (W+1)*size adds counted, shipped."""
+    if half_precision:
+        arrays = [fp16_roundtrip(a) for a in arrays]
+    counters.add_flops((len(arrays) + 1.0) * arrays[0].size)
+    traffic.ship(arrays[0].size, half_precision)
+    return _mean_over_workers(arrays)
+
+
 def run_training(cfg: ExperimentConfig) -> RunResult:
     """Run the configured experiment; returns losses, worker 0's final net and
     factor states, and the instrumentation trace."""
     cfg.validate()
-    shards = shard_dataset(build_dataset(cfg), cfg.workers, cfg.seed)
-    rows = (shards[0].x.shape[0], shards[0].y.shape[0])
+    ds = build_dataset(cfg)
+    rows = (ds.x.shape[0], ds.y.shape[0])
     if rows != (cfg.net_dims[0], cfg.net_dims[-1]):
         raise ConfigError(
             f"net.dims {','.join(map(str, cfg.net_dims))} do not fit the dataset: "
             f"it has {rows[0]} input rows and {rows[1]} target rows"
         )
+    if cfg.workers > ds.n:
+        raise ConfigError(f"workers={cfg.workers} exceeds the dataset's {ds.n} samples")
+    shards = shard_dataset(ds, cfg.workers, cfg.seed)
+    del ds  # the shards hold every sample; one copy is enough
 
     counters.reset()
     n_workers = cfg.workers
@@ -124,12 +152,10 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         if cfg.scheduler == "knee" else None
     epoch_iters = cfg.epoch_iters or max(1, -(-shards[0].n // cfg.batch))
     period = cfg.inversion_period
-    payload, memory = (sum(c) for c in zip(*(_layer_elements(opt, s, cfg.batch) for s in specs)))
+    memory = sum(_layer_memory(opt, s, cfg.batch) for s in specs)
     if state_type is not None:
         memory = float(memory)  # factor-state totals are reported as floats
-    # only the rank-1 vectors travel in half precision
-    wire = WIRE_BYTES_HALF if cfg.half_precision_comm and opt.startswith("mkor") \
-        else WIRE_BYTES_FULL
+    traffic = Traffic(n_workers)
 
     losses: list[float] = []
     lrs: list[float] = []
@@ -191,18 +217,20 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                 for l in range(len(specs)):
                     kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
             if sync:
-                if n_workers > 1:
-                    with counters.phase("factor_update"):
-                        for l in range(len(specs)):
-                            for attr in ("l_cov", "r_cov"):
-                                mean = _mean_over_workers(
-                                    [getattr(factor_states[w][l], attr) for w in range(n_workers)]
-                                )
-                                for w in range(n_workers):
-                                    setattr(factor_states[w][l], attr, mean.copy())
-                for w in range(n_workers):
-                    for l in range(len(specs)):
-                        kfac_invert(factor_states[w][l], cfg.damping)
+                # replicas share the synced arrays: nothing writes a factor in place
+                for l in range(len(specs)):
+                    replicas = [factor_states[w][l] for w in range(n_workers)]
+                    lead = replicas[0]
+                    if n_workers > 1:  # one worker has nothing to reduce
+                        with counters.phase("factor_update"):
+                            l_cov = _allreduce([st.l_cov for st in replicas], traffic)
+                            r_cov = _allreduce([st.r_cov for st in replicas], traffic)
+                        for st in replicas:
+                            st.l_cov, st.r_cov = l_cov, r_cov
+                    kfac_invert(lead, cfg.damping)
+                    traffic.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
+                    for st in replicas[1:]:
+                        st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
             for w in range(n_workers):
                 for l in range(len(specs)):
                     st = factor_states[w][l]
@@ -213,13 +241,13 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             synced = None
             if sync:
                 with counters.phase("factor_update"):
-                    synced = [
-                        allreduce_rank1(
-                            [rank1_reduce(worker_caps[w][l]) for w in range(n_workers)],
-                            half_precision=cfg.half_precision_comm,
-                        )
-                        for l in range(len(specs))
-                    ]
+                    synced = []
+                    for l in range(len(specs)):
+                        a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
+                        synced.append((
+                            _allreduce(a_bars, traffic, cfg.half_precision_comm),
+                            _allreduce(g_bars, traffic, cfg.half_precision_comm),
+                        ))
             for w in range(n_workers):
                 mkor_step(
                     nets[w], factor_states[w], grads, bias_grads,
@@ -234,7 +262,6 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         all(np.array_equal(nets[w].weights[l], nets[0].weights[l]) for l in range(len(specs)))
         for w in range(1, n_workers)
     )
-    comm_elements = float(payload * sync_events) if n_workers > 1 else 0.0
     trace = RunTrace(
         optimizer=opt,
         d=max(max(s.in_dim, s.out_dim) for s in specs),
@@ -243,8 +270,8 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         iterations=cfg.iterations,
         flops=counters.flops_snapshot(),
         wall_ms=counters.wall_snapshot_ms(),
-        comm_elements=comm_elements,
-        comm_bytes=comm_elements * wire,
+        comm_elements=traffic.elements,
+        comm_bytes=traffic.wire_bytes,
         memory_elements=memory,
         sync_events=sync_events,
         step_wall_ms=step_wall,

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from kronopt import cli, harness, linalg, training
+import kronopt
+from kronopt import cli, costs, harness, linalg, training
 from kronopt.config import load_config
 from kronopt.net import backward, forward
 from kronopt.optim import FactorState, KfacState
@@ -169,11 +173,22 @@ def test_net_dims_that_do_not_fit_the_dataset_exit_2_before_iteration_1(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setattr(training, "batch_slice", _no_training)
-    args = ["train", "--seed", "0", "--out", str(tmp_path), "--set", "net.dims=3,8,1"]
+    out = tmp_path / "run"
+    args = ["train", "--seed", "0", "--out", str(out), "--set", "net.dims=3,8,1"]
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert "net.dims 3,8,1" in err
     assert "2 input rows and 1 target rows" in err
+    assert not out.exists()
+
+
+def test_more_workers_than_samples_exit_2_before_iteration_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(training, "batch_slice", _no_training)
+    out = tmp_path / "run"
+    # the default XOR dataset has 4 samples
+    assert cli.main(["train", "--seed", "0", "--out", str(out), "--set", "workers=5"]) == 2
+    assert "workers=5 exceeds the dataset's 4 samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [["--d", "0"], ["--b", "0"]], ids=["d=0", "b=0"])
@@ -182,11 +197,66 @@ def test_bad_cost_report_size_exits_2(tmp_path, capsys, bad):
     assert "config error" in capsys.readouterr().err
 
 
-def test_nothing_ships_on_one_worker_for_sngd():
-    trace = run_training(load_config(None, ["optimizer=sngd", "iterations=3"], seed=0)).trace
-    assert trace.comm_elements == 0
-    assert trace.comm_bytes == 0
-    assert trace.sync_events == 3
+SQUARE_AE = [
+    "dataset.kind=random-autoencoder", "dataset.dim=8", "net.dims=8,8,8",
+    "dataset.n=32", "batch=8", "lr=0.01", "iterations=12", "inversion_period=3",
+]
+
+
+# Each sync ships one analytic row per layer on more than one worker, and
+# nothing on one worker; only mkor's vectors go half width under fp16 comm.
+@pytest.mark.parametrize(
+    "optimizer, workers, half",
+    [("sngd", 1, False), ("mkor", 1, False), ("kfac", 1, False),
+     ("mkor", 2, False), ("mkor", 2, True), ("kfac", 2, False)],
+    ids=["sngd-w1", "mkor-w1", "kfac-w1", "mkor-w2", "mkor-fp16-w2", "kfac-w2"],
+)
+def test_traffic_is_counted_where_it_ships(optimizer, workers, half):
+    overrides = SQUARE_AE + [
+        f"optimizer={optimizer}", f"workers={workers}", f"half_precision_comm={str(half).lower()}"
+    ]
+    cfg = load_config(None, overrides, seed=0)
+    trace = run_training(cfg).trace
+    layers = len(cfg.layer_specs())
+    assert trace.sync_events == (12 if optimizer == "sngd" else 4)
+    per_sync = costs.analytic_cost(optimizer, 8, cfg.batch).comm_elements if workers > 1 else 0.0
+    assert trace.comm_elements == trace.sync_events * layers * per_sync
+    assert trace.comm_bytes == trace.comm_elements * (2 if half else 4)
+
+
+def test_kfac_inverts_once_per_layer_per_sync(monkeypatch):
+    calls = []
+    invert = training.kfac_invert
+
+    def counted(state, damping):
+        calls.append(state)
+        invert(state, damping)
+
+    monkeypatch.setattr(training, "kfac_invert", counted)
+    cfg = load_config(None, SQUARE_AE + ["optimizer=kfac", "workers=4"], seed=0)
+    result = run_training(cfg)
+    assert len(calls) == len(cfg.layer_specs()) * result.trace.sync_events == 8
+    assert result.workers_identical
+
+
+def test_numerical_guard_survives_python_O():
+    assert issubclass(linalg.NumericalError, AssertionError)  # so it still maps to exit 3
+    code = (
+        "import numpy as np\n"
+        "from kronopt.linalg import NumericalError\n"
+        "from kronopt.optim import sm_update\n"
+        "try:\n"
+        "    sm_update(-np.eye(3), np.ones(3), 0.9)\n"
+        "except NumericalError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(kronopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rank-1 update denominator lost positivity"
 
 
 TINY_AE = [
