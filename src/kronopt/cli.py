@@ -26,7 +26,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, help="RNG seed (mandatory here or in the config)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--optimizer", help="override the configured optimizer tag")
     p.add_argument(
         "--set",
         action="append",
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> "ExperimentConfig":
-    return load_config(args.config, args.overrides, seed=args.seed, optimizer=args.optimizer)
+    return load_config(args.config, args.overrides, seed=args.seed)
 
 
 def _cmd_train(args) -> int:
@@ -103,7 +102,7 @@ def _cmd_cost_report(args) -> int:
         raise ConfigError(f"--d and --b must be >= 1, got --d {args.d} --b {args.b}")
     rows = []
     for tag in costs.OPTIMIZERS:
-        rep = costs.analytic_cost(tag, args.d, args.b, half_precision=tag.startswith("mkor"))
+        rep = costs.analytic_cost(tag, args.d, args.b, half_precision=tag in costs.RANK1_OPTIMIZERS)
         rows.append(rep)
         print(
             f"{tag:7s} factor_flops={rep.flops_factor_update:.3g} "
@@ -154,7 +153,7 @@ def _prune_target(args, cfg) -> tuple[int, tuple[int, int] | None]:
 
 def _cmd_prune(args) -> int:
     cfg = _config(args)
-    if cfg.optimizer not in ("mkor", "mkor-h"):
+    if cfg.optimizer not in costs.RANK1_OPTIMIZERS:
         raise ConfigError("prune reuses the rank-1 optimizer's factors; set optimizer=mkor")
     layer, tile = _prune_target(args, cfg)
     result = run_training(cfg)

@@ -1,6 +1,12 @@
 """Experiment configuration: flat ``key = value`` files with dotted section
 prefixes for the dataset/network sections, plus ``--set key=value`` overrides.
 
+Parsing follows ``ExperimentConfig``: each key is one of its fields (``net_*``
+and ``dataset_*`` fields are spelled ``net.*`` and ``dataset.*``) and is
+parsed by that field's annotation.  A ``dataset.*`` key that names a generator
+parameter in ``data.SYNTH_PARAMS`` fills ``dataset_params`` with that table's
+type.  Booleans read true/1/yes/on or false/0/no/off; comma lists hold ints.
+
 Documented keys
 ---------------
 optimizer section (bare keys):
@@ -24,8 +30,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
+from .costs import RANK1_OPTIMIZERS
+from .data import SYNTH_KINDS, SYNTH_PARAMS
 from .net import ACTIVATIONS, LOSSES, LayerSpec
-from .sched import DEFAULT_MILESTONES
 
 TRAINABLE_OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "sgd")
 SCHEDULERS = ("none", "knee", "step")
@@ -62,10 +69,10 @@ class ExperimentConfig:
     scheduler: str = "none"
     beta: float = 0.2
     decay_factor: float = 0.5
-    milestones: tuple = DEFAULT_MILESTONES
+    milestones: tuple[int, ...] = (25, 35, 40, 45, 50, 55, 56)  # residual-network recipe
     epoch_iters: int = 0  # 0 = derive from shard size
     # net
-    net_dims: tuple = (2, 8, 1)
+    net_dims: tuple[int, ...] = (2, 8, 1)
     net_activation: str = "tanh"
     net_bias: bool = True
     # dataset
@@ -124,6 +131,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown activation {self.net_activation!r}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.half_precision_comm and self.optimizer not in RANK1_OPTIMIZERS:
+            raise ConfigError(
+                f"half_precision_comm needs a rank-1 optimizer {RANK1_OPTIMIZERS}; "
+                f"{self.optimizer} ships no rank-1 vectors"
+            )
         if self.optimizer == "sngd":
             if self.workers != 1:
                 raise ConfigError("sngd supports a single logical worker")
@@ -135,82 +147,59 @@ class ExperimentConfig:
                     raise ConfigError("idx dataset needs dataset.images and dataset.labels")
                 if not os.path.exists(p):
                     raise ConfigError(f"dataset path not found: {p}")
-        elif self.dataset_kind not in ("xor", "gaussian-blobs", "random-autoencoder"):
+        elif self.dataset_kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
         return self
 
 
-_BOOL_KEYS = {"half_precision_comm", "net.bias"}
-_INT_KEYS = {
-    "inversion_period", "window", "workers", "seed", "batch", "iterations",
-    "rank1_every", "epoch_iters", "dataset.n", "dataset.dim", "dataset.classes",
-    "dataset.rank",
-}
-_FLOAT_KEYS = {
-    "gamma", "zeta", "epsilon_norm", "lr", "momentum", "damping", "switch_ratio",
-    "beta", "decay_factor", "dataset.scale", "dataset.sigma", "dataset.offset",
-    "dataset.noise",
-}
-_STR_KEYS = {
-    "optimizer", "loss", "scheduler", "net.activation", "dataset.kind",
-    "dataset.images", "dataset.labels",
-}
-_LIST_KEYS = {"milestones", "net.dims"}
-
-_DATASET_PARAM_KEYS = {
-    "dataset.dim": "dim", "dataset.classes": "classes", "dataset.scale": "scale",
-    "dataset.sigma": "sigma", "dataset.rank": "rank", "dataset.offset": "offset",
-    "dataset.noise": "noise",
-}
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _BOOL_KEYS:
-            return _parse_bool(raw, key)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-_FIELD_MAP = {
-    "net.dims": "net_dims",
-    "net.activation": "net_activation",
-    "net.bias": "net_bias",
-    "dataset.kind": "dataset_kind",
-    "dataset.n": "dataset_n",
-    "dataset.images": "dataset_images",
-    "dataset.labels": "dataset_labels",
+# field annotation -> parser of the stripped raw value
+_PARSERS = {
+    "bool": _parse_bool, "int": int, "int | None": int, "float": float, "str": str,
+    "tuple[int, ...]": _parse_ints,
 }
 
 
+def _key_name(field_name: str) -> str:
+    """``net_dims`` is spelled ``net.dims``, ``dataset_n`` ``dataset.n``."""
+    section, _, rest = field_name.partition("_")
+    return f"{section}.{rest}" if section in ("net", "dataset") else field_name
+
+
+# key -> (ExperimentConfig field, parser); a dataset generator parameter lands
+# in dataset_params under its own name
+_KEYS = {
+    _key_name(f.name): (f.name, _PARSERS[f.type])
+    for f in fields(ExperimentConfig)
+    if f.name != "dataset_params"
+}
+_KEYS.update({f"dataset.{name}": ("dataset_params", kind) for name, kind in SYNTH_PARAMS.items()})
+
+
 def apply_assignment(cfg: ExperimentConfig, key: str, raw_value: str) -> None:
-    value = _coerce(key, raw_value)
-    if key in _DATASET_PARAM_KEYS:
-        cfg.dataset_params[_DATASET_PARAM_KEYS[key]] = value
-        return
-    attr = _FIELD_MAP.get(key, key)
-    if attr not in {f.name for f in fields(ExperimentConfig)}:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    setattr(cfg, attr, value)
+    attr, parse = _KEYS[key]
+    try:
+        value = parse(raw_value.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if attr == "dataset_params":
+        cfg.dataset_params[key.removeprefix("dataset.")] = value
+    else:
+        setattr(cfg, attr, value)
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -230,7 +219,6 @@ def load_config(
     path: str | None,
     overrides: list[str] | None = None,
     seed: int | None = None,
-    optimizer: str | None = None,
 ) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
@@ -243,8 +231,6 @@ def load_config(
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         apply_assignment(cfg, key.strip(), raw)
-    if optimizer is not None:
-        cfg.optimizer = optimizer
     if seed is not None:
         cfg.seed = seed
     return cfg.validate()

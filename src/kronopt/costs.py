@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "eva", "sgd", "adam", "lamb")
+# the tags that sync rank-1 vectors, the only payload that may ship half width
+RANK1_OPTIMIZERS = ("mkor", "mkor-h")
 
 WIRE_BYTES_FULL = 4
 WIRE_BYTES_HALF = 2
@@ -59,7 +61,7 @@ def analytic_cost(optimizer: str, d: int, b: int, half_precision: bool = False) 
     if opt not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer tag {optimizer!r}")
     width = WIRE_BYTES_HALF if half_precision else WIRE_BYTES_FULL
-    if opt in ("mkor", "mkor-h"):
+    if opt in RANK1_OPTIMIZERS:
         return CostReport(
             optimizer=opt, d=d, b=b,
             flops_factor_update=float(d * d + b * d),

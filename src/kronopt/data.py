@@ -17,6 +17,11 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 SYNTH_KINDS = ("xor", "gaussian-blobs", "random-autoencoder")
+# generator parameters (set as dataset.<name>) and their types
+SYNTH_PARAMS = {
+    "dim": int, "classes": int, "scale": float, "sigma": float,
+    "rank": int, "offset": float, "noise": float,
+}
 
 
 @dataclass
@@ -99,7 +104,11 @@ def idx_dataset(images_path: str, labels_path: str) -> Dataset:
         raise ValueError(f"{images_path} is not an images file")
     lab = labels[0].astype(int)
     if x.shape[1] != lab.shape[0]:
-        raise ValueError("image/label counts differ")
+        raise ValueError(
+            f"{images_path} holds {x.shape[1]} images but {labels_path} {lab.shape[0]} labels"
+        )
+    if lab.shape[0] == 0:
+        raise ValueError(f"{labels_path} holds no labels")
     classes = int(lab.max()) + 1
     y = np.zeros((classes, lab.shape[0]))
     y[lab, np.arange(lab.shape[0])] = 1.0

@@ -209,22 +209,3 @@ def save_checkpoint(net: NetworkState, path: str) -> None:
             fh.write(w.astype("<f8").tobytes())
             if b is not None:
                 fh.write(b.astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> NetworkState:
-    with open(path, "rb") as fh:
-        if fh.readline() != CHECKPOINT_HEADER:
-            raise ValueError("not a KRONOPT-CKPT v1 file")
-        n_layers = int(fh.readline())
-        specs, weights, biases = [], [], []
-        for _ in range(n_layers):
-            in_dim, out_dim, act, has_bias = fh.readline().split()
-            spec = LayerSpec(int(in_dim), int(out_dim), act.decode(), bool(int(has_bias)))
-            w = np.frombuffer(fh.read(8 * spec.in_dim * spec.out_dim), dtype="<f8")
-            weights.append(w.reshape(spec.out_dim, spec.in_dim).copy())
-            if spec.has_bias:
-                biases.append(np.frombuffer(fh.read(8 * spec.out_dim), dtype="<f8").copy())
-            else:
-                biases.append(None)
-            specs.append(spec)
-    return NetworkState(specs, weights, biases)

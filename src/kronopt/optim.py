@@ -79,8 +79,8 @@ class KfacState:
 class HybridState:
     """Loss-decrease-rate tracker for the second-to-first-order switch."""
 
-    window: int = 50
-    switch_ratio: float = 0.1
+    window: int
+    switch_ratio: float
     ema_decay: float = 0.9
     mode: str = "second_order"
     prev_loss: float | None = None

@@ -128,13 +128,3 @@ def save_mask(mask: PruneMask, path: str) -> None:
         fh.write(MASK_HEADER)
         fh.write(f"{rows} {cols} {tr} {tc}\n".encode())
         fh.write(np.packbits(mask.keep.reshape(-1)).tobytes())
-
-
-def load_mask(path: str) -> PruneMask:
-    with open(path, "rb") as fh:
-        if fh.readline() != MASK_HEADER:
-            raise ValueError("not a KRONOPT-MASK v1 file")
-        rows, cols, tr, tc = (int(v) for v in fh.readline().split())
-        bits = np.unpackbits(np.frombuffer(fh.read(), dtype=np.uint8))
-    keep = bits[: rows * cols].astype(bool).reshape(rows, cols)
-    return PruneMask(keep=keep, tile=(tr, tc) if tr and tc else None)

@@ -19,8 +19,8 @@ class KneePointState:
     """
 
     lr: float
-    beta: float = 0.2
-    decay_factor: float = 0.5
+    beta: float
+    decay_factor: float
     ema_decay: float = 0.9
     ema_rate: float | None = None
     baseline_gain: float = 0.0  # total improvement since lr was set
@@ -65,11 +65,7 @@ def knee_point_update(state: KneePointState, metric_t: float) -> tuple[KneePoint
     return state, state.lr
 
 
-# Milestone schedule used by the residual-network training recipe.
-DEFAULT_MILESTONES = (25, 35, 40, 45, 50, 55, 56)
-
-
-def step_decay(epoch: int, milestones=DEFAULT_MILESTONES, factor: float = 0.5, base_lr: float = 1.0) -> float:
+def step_decay(epoch: int, milestones, factor: float, base_lr: float) -> float:
     """lr = base_lr * factor^(number of milestones at or before `epoch`)."""
     passed = sum(1 for m in milestones if epoch >= m)
     return base_lr * factor**passed

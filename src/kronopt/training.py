@@ -20,6 +20,7 @@ first-order rows communicate nothing.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import counters, linalg, optim
 from .analysis import Rank1ErrorRecord, covariance_records
 from .config import ConfigError, ExperimentConfig
-from .costs import WIRE_BYTES_FULL, WIRE_BYTES_HALF, RunTrace
+from .costs import RANK1_OPTIMIZERS, WIRE_BYTES_FULL, WIRE_BYTES_HALF, RunTrace
 from .data import Dataset, batch_slice, shard_dataset, synth_dataset, idx_dataset
 from .net import LayerSpec, NetworkState, backward, forward, init_network
 from .optim import (
@@ -69,14 +70,17 @@ class RunResult:
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset_kind == "idx":
-        return idx_dataset(cfg.dataset_images, cfg.dataset_labels)
+        try:
+            return idx_dataset(cfg.dataset_images, cfg.dataset_labels)
+        except (OSError, ValueError) as exc:  # a malformed or unreadable file is a config error
+            raise ConfigError(str(exc)) from exc
     return synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
 
 
 def _layer_memory(opt: str, s: LayerSpec, batch: int) -> int:
     """Elements the optimizer holds for one layer."""
     i, o = s.in_dim, s.out_dim
-    if opt in ("mkor", "mkor-h"):  # both inverses, and the rank-1 vectors held during a sync
+    if opt in RANK1_OPTIMIZERS:  # both inverses, and the rank-1 vectors held during a sync
         return i * i + o * o + i + o
     if opt == "kfac":  # both covariances and both inverses
         return 2 * (i * i + o * o)
@@ -177,6 +181,8 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                 worker_caps.append(caps)
                 worker_losses.append(lval)
         loss_t = sum(worker_losses) / n_workers
+        if not math.isfinite(loss_t):
+            raise linalg.NumericalError(f"loss is {loss_t} at iteration {t}")
         losses.append(loss_t)
 
         if knee is not None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import kronopt
-from kronopt import cli, costs, harness, linalg, training
-from kronopt.config import load_config
+from kronopt import cli, config, costs, harness, linalg, training
+from kronopt.config import ExperimentConfig, load_config
 from kronopt.net import backward, forward
 from kronopt.optim import FactorState, KfacState
 from kronopt.prune import greedy_prune, prune_and_measure
@@ -105,6 +106,177 @@ def test_bad_config_value_exits_2(tmp_path, no_training, capsys, verb, bad):
     args = [verb, "--out", str(tmp_path)] + (["--seed", "0"] if "--seed" not in bad else []) + bad
     assert cli.main(args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _set_args(assignments) -> list[str]:
+    return [arg for item in assignments for arg in ("--set", item)]
+
+
+def _documented_keys() -> set[str]:
+    """The keys listed under "Documented keys" in the config module docstring."""
+    listing = config.__doc__.split("Documented keys", 1)[1].splitlines()[2:]
+    return {
+        item.split()[0]
+        for line in listing
+        if line.strip() and not line.rstrip().endswith(":")
+        for item in line.split(",")
+        if item.strip()
+    }
+
+
+# key -> (raw value, field it lands in, parsed value); a generator parameter
+# lands in dataset_params under the name after "dataset."
+KEY_VALUES = {
+    "optimizer": ("kfac", "optimizer", "kfac"),
+    "gamma": ("0.5", "gamma", 0.5),
+    "zeta": ("0.75", "zeta", 0.75),
+    "epsilon_norm": ("50", "epsilon_norm", 50.0),
+    "inversion_period": ("3", "inversion_period", 3),
+    "lr": ("0.25", "lr", 0.25),
+    "momentum": ("0.5", "momentum", 0.5),
+    "damping": ("0.01", "damping", 0.01),
+    "switch_ratio": ("0.25", "switch_ratio", 0.25),
+    "window": ("7", "window", 7),
+    "half_precision_comm": ("yes", "half_precision_comm", True),
+    "workers": ("2", "workers", 2),
+    "seed": ("5", "seed", 5),
+    "loss": ("softmax_cross_entropy", "loss", "softmax_cross_entropy"),
+    "batch": ("16", "batch", 16),
+    "iterations": ("7", "iterations", 7),
+    "rank1_every": ("3", "rank1_every", 3),
+    "scheduler": ("step", "scheduler", "step"),
+    "beta": ("0.3", "beta", 0.3),
+    "decay_factor": ("0.25", "decay_factor", 0.25),
+    "milestones": ("3, 9", "milestones", (3, 9)),
+    "epoch_iters": ("4", "epoch_iters", 4),
+    "net.dims": ("2,5,1", "net_dims", (2, 5, 1)),
+    "net.activation": ("relu", "net_activation", "relu"),
+    "net.bias": ("off", "net_bias", False),
+    "dataset.kind": ("gaussian-blobs", "dataset_kind", "gaussian-blobs"),
+    "dataset.n": ("64", "dataset_n", 64),
+    "dataset.dim": ("6", "dataset_params", 6),
+    "dataset.classes": ("4", "dataset_params", 4),
+    "dataset.scale": ("2.5", "dataset_params", 2.5),
+    "dataset.sigma": ("1", "dataset_params", 1.0),
+    "dataset.rank": ("3", "dataset_params", 3),
+    "dataset.offset": ("-1.5", "dataset_params", -1.5),
+    "dataset.noise": ("0.1", "dataset_params", 0.1),
+    "dataset.images": ("train-images.idx", "dataset_images", "train-images.idx"),
+    "dataset.labels": ("train-labels.idx", "dataset_labels", "train-labels.idx"),
+}
+
+
+def test_every_documented_key_has_a_value_below():
+    assert _documented_keys() == set(KEY_VALUES)
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("key", list(KEY_VALUES))
+def test_each_key_lands_in_its_field_with_its_type(tmp_path, key, source):
+    raw, attr, value = KEY_VALUES[key]
+    if source == "set":
+        cfg = load_config(None, ["seed=0", f"{key}={raw}"])
+    else:
+        path = tmp_path / "experiment.cfg"
+        path.write_text(f"seed = 0  # mandatory\n{key} = {raw}\n")
+        cfg = load_config(str(path))
+    want = ExperimentConfig(seed=0)
+    if attr == "dataset_params":
+        want.dataset_params[key.removeprefix("dataset.")] = value
+        got = cfg.dataset_params[key.removeprefix("dataset.")]
+    else:
+        setattr(want, attr, value)
+        got = getattr(cfg, attr)
+    assert cfg == want
+    assert (type(got), repr(got)) == (type(value), repr(value))
+
+
+BAD_KEYS_AND_VALUES = {
+    "field-name": ("net_dims=2,8,1", "unknown config key 'net_dims'"),
+    "params-field": ("dataset_params=1", "unknown config key 'dataset_params'"),
+    "params-key": ("dataset.params=1", "unknown config key 'dataset.params'"),
+    "bogus": ("bogus=1", "unknown config key 'bogus'"),
+    "bool": ("net.bias=maybe", "net.bias: expected a boolean, got 'maybe'"),
+    "float": ("lr=fast", "lr: could not convert string to float: 'fast'"),
+    "int": ("batch= big ", "batch: invalid literal for int() with base 10: 'big'"),
+    "int-list": ("net.dims=2,x,1", "net.dims: invalid literal for int() with base 10: 'x'"),
+}
+
+
+@pytest.mark.parametrize(
+    "assignment, message", list(BAD_KEYS_AND_VALUES.values()), ids=list(BAD_KEYS_AND_VALUES)
+)
+def test_bad_key_or_value_exits_2_with_its_message(
+    tmp_path, no_training, capsys, assignment, message
+):
+    assert cli.main(["train", "--seed", "0", "--out", str(tmp_path), "--set", assignment]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_optimizer_is_set_as_a_key_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--seed", "0", "--optimizer", "sgd"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --optimizer" in capsys.readouterr().err
+
+
+# Only mkor and mkor-h ship rank-1 vectors, the payload fp16 comm narrows.
+@pytest.mark.parametrize("optimizer", ["kfac", "sgd", "sngd"])
+def test_half_precision_comm_without_rank1_vectors_exits_2(
+    tmp_path, no_training, capsys, optimizer
+):
+    args = ["train", "--seed", "0", "--out", str(tmp_path / "run"),
+            "--set", f"optimizer={optimizer}", "--set", "half_precision_comm=true"]
+    assert cli.main(args) == 2
+    assert "half_precision_comm needs a rank-1 optimizer" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("optimizer", ["mkor", "mkor-h"])
+def test_half_precision_comm_trains_rank1_optimizers(tmp_path, optimizer):
+    sets = TINY_XOR + [f"optimizer={optimizer}", "workers=2", "half_precision_comm=true"]
+    assert cli.main(["train", "--seed", "0", "--out", str(tmp_path), *_set_args(sets)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["comm_bytes"] > 0
+
+
+def _idx_images(n: int, rows: int, cols: int, pixels: bytes, magic: int = 0x803) -> bytes:
+    return struct.pack(">IIII", magic, n, rows, cols) + pixels
+
+
+# Each malformed file once ended in a ValueError traceback (exit 1).
+BAD_IDX_IMAGES = {
+    "truncated": (_idx_images(5, 2, 2, bytes(3)), "expected 20 pixels, got 3"),
+    "bad-magic": (_idx_images(5, 2, 2, bytes(20), magic=0x999), "bad IDX magic 0x00000999"),
+}
+
+
+@pytest.mark.parametrize("images, message", list(BAD_IDX_IMAGES.values()), ids=list(BAD_IDX_IMAGES))
+def test_malformed_idx_file_exits_2_before_iteration_1(
+    tmp_path, monkeypatch, capsys, images, message
+):
+    monkeypatch.setattr(training, "batch_slice", _no_training)
+    (tmp_path / "bad.idx").write_bytes(images)
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x801, 5) + bytes(5))
+    out = tmp_path / "run"
+    args = ["train", "--seed", "0", "--out", str(out), "--set", "dataset.kind=idx",
+            "--set", f"dataset.images={tmp_path / 'bad.idx'}",
+            "--set", f"dataset.labels={tmp_path / 'labels.idx'}", "--set", "net.dims=4,8,1"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"config error: {tmp_path / 'bad.idx'}: {message}\n"
+    assert not out.exists()
+
+
+def test_diverged_run_exits_3_at_its_first_non_finite_loss(tmp_path, capsys):
+    out = tmp_path / "run"
+    sets = [
+        "optimizer=sgd", "lr=100", "dataset.kind=random-autoencoder", "dataset.dim=32",
+        "net.dims=32,32", "net.activation=identity", "dataset.n=64", "iterations=60",
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--seed", "0", "--out", str(out), *_set_args(sets)])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: loss is inf at iteration 38\n"
+    assert not out.exists()
 
 
 # The default network is 2 -> 8 -> 1, so layer 0 has an 8x2 weight (16 units).

@@ -16,10 +16,14 @@ inversion_period=5`` on three datasets (xor; 3-class gaussian blobs; a
 
 * {mkor, mkor-h (window=10), kfac, sgd} x workers {1, 4}, sngd, mkor with
   half-precision comm at 4 workers and mkor with rank-1 profiling;
+* xor under the step scheduler, with milestones that decay the lr at
+  iterations 11 and 41;
+* a 12-dim random autoencoder read from a ``--config`` file that holds a
+  tuple key and ``dataset.*`` keys;
 * ``prune --seed 0`` on the default config;
 * ``sweep`` over each of its four axes.
 
-43 short runs; a few seconds on one core.
+45 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -57,6 +61,20 @@ RUNS = {
     "mkor-rank1": ("optimizer=mkor", "rank1_every=7"),
 }
 
+# epoch_iters=2 puts the milestones 5 and 20 at iterations 11 and 41
+STEP_SCHEDULE = ("scheduler=step", "milestones=5,20", "epoch_iters=2")
+
+CONFIG_FILE = """\
+# parsed key by key as --set is
+dataset.kind = random-autoencoder
+dataset.dim = 12
+dataset.noise = 0.1
+net.dims = 12, 6, 12
+dataset.n = 64
+batch = 16
+lr = 0.01
+"""
+
 # (cell name, dataset, axis, values)
 SWEEPS = (
     ("sweep-lr", "xor", "lr", "0.05,0.2"),
@@ -70,12 +88,15 @@ def _sets(overrides) -> list[str]:
     return [arg for item in overrides for arg in ("--set", item)]
 
 
-def commands() -> dict[str, list[str]]:
-    """Cell name -> kronopt command line (without --out)."""
+def commands(config_path: str) -> dict[str, list[str]]:
+    """Cell name -> kronopt command line (without --out); ``config_path``
+    names a file holding CONFIG_FILE."""
     cmds = {}
     for ds, ds_sets in DATASETS.items():
         for run, run_sets in RUNS.items():
             cmds[f"{ds}/{run}"] = ["train", "--seed", "0", *_sets(COMMON + ds_sets + run_sets)]
+    cmds["xor/step"] = ["train", "--seed", "0", *_sets(COMMON + STEP_SCHEDULE)]
+    cmds["config-file"] = ["train", "--seed", "0", "--config", config_path, *_sets(COMMON)]
     cmds["prune"] = ["prune", "--seed", "0"]
     for name, ds, axis, values in SWEEPS:
         cmds[name] = [
@@ -98,7 +119,10 @@ def main(argv=None) -> int:
     from kronopt import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for cell, cmd in commands().items():
+        config_path = os.path.join(tmp, "experiment.cfg")
+        with open(config_path, "w") as fh:
+            fh.write(CONFIG_FILE)
+        for cell, cmd in commands(config_path).items():
             out = os.path.join(tmp, cell)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*cmd, "--out", out])
