@@ -109,15 +109,10 @@ def make_spd(rng: np.random.Generator, d: int, jitter: float = 0.5) -> np.ndarra
     return symmetrize(x @ x.T / d + jitter * np.eye(d))
 
 
-def quantization_error_report(
-    d: int, gamma: float, trials: int, seed: int = 0, epsilon: float = FP16_EPS
-) -> dict:
+def quantization_error_report(d: int, gamma: float, trials: int, seed: int = 0) -> dict:
     """Measure the fp16-emulation error of one rank-1 inverse update against
-    the additive bound (gamma + 4 (1-gamma)/gamma^2 * m^3 d^2) * epsilon and
-    report the fitted constant C = max(error / bound).
-
-    epsilon=0 skips rounding entirely, so the error is exactly zero.
-    """
+    the additive bound (gamma + 4 (1-gamma)/gamma^2 * m^3 d^2) * FP16_EPS and
+    report the fitted constant C = max(error / bound)."""
     rng = linalg.make_rng(seed)
     worst = 0.0
     max_err = 0.0
@@ -126,21 +121,17 @@ def quantization_error_report(
         f_inv /= max(1.0, float(np.max(np.abs(f_inv))))  # keep m <= 1
         v = rng.uniform(-1.0, 1.0, size=d)
         exact = sm_update(f_inv, v, gamma)
-        if epsilon == 0.0:
-            approx = sm_update(f_inv, v, gamma)
-        else:
-            approx = sm_update_quantized(f_inv, v, gamma)
+        approx = sm_update_quantized(f_inv, v, gamma)
         err = float(np.max(np.abs(exact - approx)))
         m = max(float(np.max(np.abs(f_inv))), float(np.max(np.abs(v))))
-        bound = (gamma + 4.0 * (1.0 - gamma) / gamma**2 * m**3 * d**2) * epsilon
+        bound = (gamma + 4.0 * (1.0 - gamma) / gamma**2 * m**3 * d**2) * FP16_EPS
         max_err = max(max_err, err)
-        if bound > 0.0:
-            worst = max(worst, err / bound)
+        worst = max(worst, err / bound)
     return {
         "d": d,
         "gamma": gamma,
         "trials": trials,
-        "epsilon": epsilon,
+        "epsilon": FP16_EPS,
         "max_error": max_err,
         "fitted_constant": worst,
     }

@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Verbs: train, sweep, cost-report, rank1-profile, prune, verify-lemmas.
+Verbs: train, sweep and prune run the configured experiment (--config,
+--seed, --set); cost-report prints the analytic cost table and verify-lemmas
+checks the method's lemmas, each from its own flags alone.  Every verb
+writes its artifacts under --out.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -18,14 +21,19 @@ from .config import ConfigError, load_config
 from .harness import SWEEP_AXES, run_experiment, sweep
 from .linalg import SingularMatrix
 from .net import backward, forward
+from .optim import sm_update_exact
 from .prune import greedy_prune, prune_and_measure, save_mask
 from .training import build_dataset, run_training
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default="out", help="output directory")
+
+
+def _add_experiment(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, help="RNG seed (mandatory here or in the config)")
-    p.add_argument("--out", default="out", help="output directory")
+    _add_out(p)
     p.add_argument(
         "--set",
         action="append",
@@ -34,35 +42,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         dest="overrides",
         help="override any config key",
     )
-    p.add_argument("--timing", action="store_true", help="include wall-clock columns in CSVs")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kronopt")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    for verb in ("train", "rank1-profile"):
-        _add_common(sub.add_parser(verb))
+    _add_experiment(sub.add_parser("train"))
 
     p = sub.add_parser("sweep")
-    _add_common(p)
+    _add_experiment(p)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated axis values")
 
     p = sub.add_parser("cost-report")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--d", type=int, default=1024)
     p.add_argument("--b", type=int, default=32)
-    p.add_argument("--measured", action="store_true", help="also run a short instrumented run")
 
     p = sub.add_parser("prune")
-    _add_common(p)
+    _add_experiment(p)
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--k", type=int, default=1, help="units to remove")
     p.add_argument("--tile", help="ROWSxCOLS for block mode, e.g. 2x2")
 
     p = sub.add_parser("verify-lemmas")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--steps", type=int, default=2000, help="chain length for the PD check")
     return parser
 
@@ -73,25 +78,16 @@ def _config(args) -> "ExperimentConfig":
 
 def _cmd_train(args) -> int:
     cfg = _config(args)
-    result = run_experiment(cfg, args.out, include_wall=args.timing)
+    result = run_experiment(cfg, args.out)
     print(f"final loss {result.losses[-1]:.6g} after {cfg.iterations} iterations")
     print(f"artifacts in {args.out}")
-    return 0
-
-
-def _cmd_rank1_profile(args) -> int:
-    cfg = _config(args)
-    if cfg.rank1_every == 0:
-        cfg.rank1_every = max(1, cfg.iterations // 10)
-    result = run_experiment(cfg, args.out, include_wall=args.timing)
-    print(f"{len(result.rank1_records)} rank-1 error records -> {args.out}/rank1.csv")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    rows = sweep(cfg, args.axis, values, args.out, include_wall=args.timing)
+    rows = sweep(cfg, args.axis, values, args.out)
     for row in rows:
         print(row)
     return 0
@@ -113,15 +109,6 @@ def _cmd_cost_report(args) -> int:
     with open(os.path.join(args.out, "analytic_cost.json"), "w") as fh:
         json.dump([rep.__dict__ for rep in rows], fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if args.measured:
-        cfg = _config(args)
-        result = run_training(cfg)
-        rep = costs.measured_cost(result.trace)
-        print(
-            f"measured {rep.optimizer}: factor={rep.flops_factor_update:.4g} "
-            f"inversion={rep.flops_inversion:.4g} precondition={rep.flops_precondition:.4g} "
-            f"per iteration"
-        )
     return 0
 
 
@@ -200,8 +187,6 @@ def _cmd_verify_lemmas(args) -> int:
         f_inv = linalg.direct_inverse(f)
         v = rng.standard_normal(d)
         gamma = 0.9
-        from .optim import sm_update_exact
-
         got = sm_update_exact(f_inv, v, gamma)
         want = linalg.direct_inverse(0.9 * f + 0.1 * np.outer(v, v))
         err = float(np.max(np.abs(got - want))) / d
@@ -233,7 +218,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "sweep": _cmd_sweep,
     "cost-report": _cmd_cost_report,
-    "rank1-profile": _cmd_rank1_profile,
     "prune": _cmd_prune,
     "verify-lemmas": _cmd_verify_lemmas,
 }

@@ -1,5 +1,5 @@
-"""Per-iteration cost accounting: analytic leading-term counts per optimizer
-(the complexity-table analog) and measured counters from instrumented runs.
+"""Cost accounting: analytic leading-term counts per optimizer (the
+complexity-table analog) and the measured counters of a training run.
 
 Element counts are the primary unit; big-O rows are rendered as exact
 leading-term counts with the printed constants, lower-order terms excluded.
@@ -30,11 +30,6 @@ class CostReport:
     comm_elements: float = 0.0
     comm_bytes: float = 0.0
     memory_elements: float = 0.0
-    flops_inversion: float = 0.0
-    flops_forward_backward: float = 0.0
-    flops_weight_update: float = 0.0
-    wall_ms: dict = field(default_factory=dict)
-    workers: int = 1
 
     def __post_init__(self):
         for name in (
@@ -116,38 +111,12 @@ class RunTrace:
     d: int
     b: int
     workers: int
-    iterations: int
     flops: dict  # phase -> total count
-    wall_ms: dict  # phase -> total ms
     comm_elements: float
     comm_bytes: float
     memory_elements: float
     sync_events: int
     step_wall_ms: list[float] = field(default_factory=list)
-
-
-def measured_cost(trace: RunTrace) -> CostReport:
-    """Convert raw run counters into a per-iteration CostReport, phase-split
-    the way the time-breakdown figure slices an optimizer step: factor
-    computation, preconditioning, and weight update."""
-    iters = max(trace.iterations, 1)
-    return CostReport(
-        optimizer=trace.optimizer,
-        d=trace.d,
-        b=trace.b,
-        workers=trace.workers,
-        flops_factor_update=(
-            trace.flops.get("factor_update", 0.0) + trace.flops.get("inversion", 0.0)
-        ) / iters,
-        flops_inversion=trace.flops.get("inversion", 0.0) / iters,
-        flops_precondition=trace.flops.get("precondition", 0.0) / iters,
-        flops_forward_backward=trace.flops.get("forward_backward", 0.0) / iters,
-        flops_weight_update=trace.flops.get("weight_update", 0.0) / iters,
-        comm_elements=trace.comm_elements / iters,
-        comm_bytes=trace.comm_bytes / iters,
-        memory_elements=trace.memory_elements,
-        wall_ms={k: v / iters for k, v in trace.wall_ms.items()},
-    )
 
 
 COST_CSV_COLUMNS = (
@@ -160,14 +129,11 @@ COST_CSV_COLUMNS = (
     "comm_elements",
     "comm_bytes",
     "memory_elements",
-    "wall_ms",
 )
 
 
-def cost_csv_rows(trace: RunTrace, include_wall: bool = False) -> list[dict]:
-    """One row per phase, ready for the cost CSV.  Wall-clock is secondary
-    and noisy, so it is emitted only on request to keep artifacts bitwise
-    reproducible."""
+def cost_csv_rows(trace: RunTrace) -> list[dict]:
+    """One row per phase, ready for the cost CSV."""
     rows = []
     for phase_name in ("factor_update", "inversion", "precondition", "weight_update", "forward_backward"):
         rows.append(
@@ -181,7 +147,6 @@ def cost_csv_rows(trace: RunTrace, include_wall: bool = False) -> list[dict]:
                 "comm_elements": repr(trace.comm_elements) if phase_name == "factor_update" else "0.0",
                 "comm_bytes": repr(trace.comm_bytes) if phase_name == "factor_update" else "0.0",
                 "memory_elements": repr(trace.memory_elements) if phase_name == "factor_update" else "0.0",
-                "wall_ms": repr(trace.wall_ms.get(phase_name, 0.0)) if include_wall else "",
             }
         )
     return rows

@@ -1,13 +1,14 @@
-"""Process-wide flop and wall-time accounting, bucketed by pipeline phase.
+"""Process-wide flop accounting, bucketed by pipeline phase.
 
 The training loop brackets each stage with ``phase(...)`` so that the dense
 kernels in :mod:`kronopt.linalg` can stay ignorant of which stage they serve.
 Counts are floating multiply/add operations as implemented (not big-O).
+Wall-clock time is not kept here; only the training loop's per-step times
+(``RunTrace.step_wall_ms``) are measured, and they enter no artifact.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 
 PHASES = (
@@ -20,14 +21,12 @@ PHASES = (
 )
 
 _flops: dict[str, float] = {p: 0.0 for p in PHASES}
-_wall_ms: dict[str, float] = {p: 0.0 for p in PHASES}
 _stack: list[str] = []
 
 
 def reset() -> None:
     for p in PHASES:
         _flops[p] = 0.0
-        _wall_ms[p] = 0.0
     _stack.clear()
 
 
@@ -41,21 +40,15 @@ def add_flops(n: float) -> None:
 
 @contextmanager
 def phase(name: str):
-    """Attribute flops and wall time to ``name`` for the duration of the block."""
+    """Attribute flops to ``name`` for the duration of the block."""
     if name not in PHASES:
         raise ValueError(f"unknown phase {name!r}")
     _stack.append(name)
-    t0 = time.perf_counter()
     try:
         yield
     finally:
-        _wall_ms[name] += (time.perf_counter() - t0) * 1e3
         _stack.pop()
 
 
 def flops_snapshot() -> dict[str, float]:
     return dict(_flops)
-
-
-def wall_snapshot_ms() -> dict[str, float]:
-    return dict(_wall_ms)

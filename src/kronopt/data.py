@@ -15,6 +15,7 @@ from . import linalg
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IDX_KINDS = {IDX_IMAGES_MAGIC: "images", IDX_LABELS_MAGIC: "labels"}
 
 SYNTH_KINDS = ("xor", "gaussian-blobs", "random-autoencoder")
 # generator parameters (set as dataset.<name>) and their types
@@ -69,14 +70,18 @@ def synth_dataset(kind: str, n: int, seed: int, **params) -> Dataset:
     raise ValueError(f"unknown synthetic dataset {kind!r}")
 
 
-def load_idx(path: str) -> np.ndarray:
-    """Read an IDX file: images come back as (rows*cols) x n in [0, 1],
-    labels as a 1 x n float array."""
+def load_idx(path: str, expected: int) -> np.ndarray:
+    """Read an IDX file whose magic must be ``expected``: images come back
+    as (rows*cols) x n in [0, 1], labels as a 1 x n float array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated IDX header")
     (magic,) = struct.unpack(">I", raw[:4])
+    if magic not in IDX_KINDS:
+        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
+    if magic != expected:
+        raise ValueError(f"{path}: holds IDX {IDX_KINDS[magic]}, expected {IDX_KINDS[expected]}")
     if magic == IDX_IMAGES_MAGIC:
         if len(raw) < 16:
             raise ValueError(f"{path}: truncated IDX image dims")
@@ -86,23 +91,16 @@ def load_idx(path: str) -> np.ndarray:
             raise ValueError(f"{path}: expected {n * rows * cols} pixels, got {len(body)}")
         pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
         return np.ascontiguousarray(pixels.reshape(n, rows * cols).T)
-    if magic == IDX_LABELS_MAGIC:
-        (n,) = struct.unpack(">I", raw[4:8])
-        body = raw[8:]
-        if len(body) != n:
-            raise ValueError(f"{path}: expected {n} labels, got {len(body)}")
-        return np.frombuffer(body, dtype=np.uint8).astype(np.float64)[None, :]
-    raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
+    (n,) = struct.unpack(">I", raw[4:8])
+    body = raw[8:]
+    if len(body) != n:
+        raise ValueError(f"{path}: expected {n} labels, got {len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).astype(np.float64)[None, :]
 
 
 def idx_dataset(images_path: str, labels_path: str) -> Dataset:
-    x = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if labels.shape[0] != 1:
-        raise ValueError(f"{labels_path} is not a labels file")
-    if x.shape[0] == 1:
-        raise ValueError(f"{images_path} is not an images file")
-    lab = labels[0].astype(int)
+    x = load_idx(images_path, IDX_IMAGES_MAGIC)
+    lab = load_idx(labels_path, IDX_LABELS_MAGIC)[0].astype(int)
     if x.shape[1] != lab.shape[0]:
         raise ValueError(
             f"{images_path} holds {x.shape[1]} images but {labels_path} {lab.shape[0]} labels"

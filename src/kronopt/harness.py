@@ -1,9 +1,8 @@
 """Experiment driver: runs a configured experiment and persists artifacts.
 
-Artifacts (loss.csv, cost.csv, rank1.csv, model.ckpt, summary.json) are pure
-functions of (config, seed): floats are written with shortest round-trip
-repr and wall-clock numbers stay out of the files unless timing output is
-explicitly requested.
+Artifacts (loss.csv, cost.csv, rank1.csv, model.ckpt, summary.json, and a
+sweep's sweep.csv) are pure functions of (config, seed): floats are written
+with shortest round-trip repr and no wall-clock number enters any file.
 """
 
 from __future__ import annotations
@@ -11,10 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-
-import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_assignment, config_as_dict
 from .costs import COST_CSV_COLUMNS, cost_csv_rows
@@ -22,23 +18,6 @@ from .net import save_checkpoint
 from .training import RunResult, run_training
 
 SWEEP_AXES = ("inversion_period", "lr", "workers", "d")
-
-PLOT_STUB = """\
-#!/usr/bin/env python3
-# Plot helper for kronopt artifacts; needs matplotlib.
-import csv, sys
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else "loss.csv"
-with open(path) as fh:
-    rows = list(csv.DictReader(fh))
-plt.plot([int(r["iteration"]) for r in rows], [float(r["loss"]) for r in rows])
-plt.xlabel("iteration")
-plt.ylabel("loss")
-plt.yscale("log")
-plt.savefig("loss.png", dpi=120)
-print("wrote loss.png")
-"""
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -49,11 +28,9 @@ def _write_csv(path: str, columns, rows) -> None:
             writer.writerow(row)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str, include_wall: bool = False
-) -> RunResult:
-    """Train per config and write loss/cost/rank1 CSVs, a checkpoint, a
-    summary JSON and a plotting stub into ``out_dir``."""
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
+    """Train per config and write loss/cost/rank1 CSVs, a checkpoint and a
+    summary JSON into ``out_dir``."""
     result = run_training(cfg)  # its config checks fail before out_dir exists
     os.makedirs(out_dir, exist_ok=True)
 
@@ -68,7 +45,7 @@ def run_experiment(
     _write_csv(
         os.path.join(out_dir, "cost.csv"),
         COST_CSV_COLUMNS,
-        cost_csv_rows(result.trace, include_wall=include_wall),
+        cost_csv_rows(result.trace),
     )
     if result.rank1_records:
         _write_csv(
@@ -101,23 +78,7 @@ def run_experiment(
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    with open(os.path.join(out_dir, "plot_stub.py"), "w") as fh:
-        fh.write(PLOT_STUB)
     return result
-
-
-def _sweep_cell(args):
-    cfg, out_dir, include_wall = args
-    result = run_experiment(cfg, out_dir, include_wall=include_wall)
-    return {
-        "final_loss": result.losses[-1],
-        "mean_step_ms": float(np.mean(result.trace.step_wall_ms)),
-        "median_step_ms": float(np.median(result.trace.step_wall_ms)),
-        "comm_elements": result.trace.comm_elements,
-        "flops_factor_update": result.trace.flops.get("factor_update", 0.0)
-        + result.trace.flops.get("inversion", 0.0),
-        "flops_precondition": result.trace.flops.get("precondition", 0.0),
-    }
 
 
 def _cell_config(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
@@ -137,43 +98,29 @@ def _cell_config(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConf
     return cell.validate()
 
 
-def sweep(
-    cfg: ExperimentConfig,
-    axis: str,
-    values: list,
-    out_dir: str,
-    include_wall: bool = False,
-) -> list[dict]:
-    """Grid over one axis, one run_experiment per cell, shared seed.
+def sweep(cfg: ExperimentConfig, axis: str, values: list, out_dir: str) -> list[dict]:
+    """Grid over one axis, one run_experiment per cell in order, shared seed.
 
-    Cells run in parallel processes when KRONOPT_THREADS allows; each cell is
-    internally deterministic and owns its subdirectory.  Every cell's config
-    is checked before any cell runs or anything is written.
+    Each cell owns its subdirectory.  Every cell's config is checked before
+    any cell runs or anything is written.
     """
     if not values:
         raise ConfigError(f"sweep over {axis} lists no values")
-    cells = [
-        (_cell_config(cfg, axis, value), os.path.join(out_dir, f"{axis}_{value}"), include_wall)
-        for value in values
-    ]
+    cells = [_cell_config(cfg, axis, value) for value in values]
     os.makedirs(out_dir, exist_ok=True)
-    max_workers = max(1, int(os.environ.get("KRONOPT_THREADS", "1")))
-    if max_workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(cells))) as pool:
-            stats = list(pool.map(_sweep_cell, cells))
-    else:
-        stats = [_sweep_cell(c) for c in cells]
     rows = []
-    for value, stat in zip(values, stats):
-        row = {"axis": axis, "value": value}
-        row.update(
+    for value, cell in zip(values, cells):
+        result = run_experiment(cell, os.path.join(out_dir, f"{axis}_{value}"))
+        flops = result.trace.flops
+        rows.append(
             {
-                k: (repr(v) if isinstance(v, float) and k != "mean_step_ms" else v)
-                for k, v in stat.items()
-                if include_wall or not k.endswith("_ms")
+                "axis": axis,
+                "value": value,
+                "final_loss": repr(result.losses[-1]),
+                "comm_elements": repr(result.trace.comm_elements),
+                "flops_factor_update": repr(flops["factor_update"] + flops["inversion"]),
+                "flops_precondition": repr(flops["precondition"]),
             }
         )
-        rows.append(row)
-    columns = ["axis", "value"] + [k for k in stats[0] if include_wall or not k.endswith("_ms")]
-    _write_csv(os.path.join(out_dir, "sweep.csv"), columns, rows)
+    _write_csv(os.path.join(out_dir, "sweep.csv"), rows[0], rows)
     return rows

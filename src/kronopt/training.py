@@ -233,7 +233,12 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             r_cov = _allreduce([st.r_cov for st in replicas], traffic)
                         for st in replicas:
                             st.l_cov, st.r_cov = l_cov, r_cov
-                    kfac_invert(lead, cfg.damping)
+                    try:
+                        kfac_invert(lead, cfg.damping)
+                    except linalg.SingularMatrix as exc:
+                        raise linalg.SingularMatrix(
+                            f"iteration {t}, layer {l}, phase inversion: {exc}"
+                        ) from exc
                     traffic.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
                     for st in replicas[1:]:
                         st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
@@ -273,9 +278,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         d=max(max(s.in_dim, s.out_dim) for s in specs),
         b=cfg.batch,
         workers=n_workers,
-        iterations=cfg.iterations,
         flops=counters.flops_snapshot(),
-        wall_ms=counters.wall_snapshot_ms(),
         comm_elements=traffic.elements,
         comm_bytes=traffic.wire_bytes,
         memory_elements=memory,

@@ -266,6 +266,49 @@ def test_malformed_idx_file_exits_2_before_iteration_1(
     assert not out.exists()
 
 
+def _idx_labels(labels: bytes) -> bytes:
+    return struct.pack(">II", 0x801, len(labels)) + labels
+
+
+def _idx_train_args(out, images, labels) -> list[str]:
+    return ["train", "--seed", "0", "--out", str(out), "--set", "dataset.kind=idx",
+            "--set", f"dataset.images={images}", "--set", f"dataset.labels={labels}",
+            "--set", "net.dims=1,4,2"]
+
+
+def test_idx_images_of_one_pixel_train(tmp_path):
+    # a 1x1 image has the shape of a labels row; the magic tells them apart
+    (tmp_path / "one.idx").write_bytes(_idx_images(4, 1, 1, bytes([0, 80, 160, 240])))
+    (tmp_path / "lab4.idx").write_bytes(_idx_labels(bytes([0, 1, 0, 1])))
+    out = tmp_path / "run"
+    assert cli.main(_idx_train_args(out, tmp_path / "one.idx", tmp_path / "lab4.idx")) == 0
+    assert (out / "model.ckpt").exists()
+
+
+def test_swapped_idx_files_exit_2_naming_the_file_of_the_wrong_kind(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(_idx_images(4, 2, 2, bytes(16)))
+    labels.write_bytes(_idx_labels(bytes([0, 1, 0, 1])))
+    out = tmp_path / "run"
+    assert cli.main(_idx_train_args(out, labels, images)) == 2
+    assert capsys.readouterr().err == f"config error: {labels}: holds IDX labels, expected images\n"
+    assert not out.exists()
+
+
+def test_kfac_pivot_failure_names_iteration_layer_and_phase(tmp_path, capsys):
+    out = tmp_path / "run"
+    sets = [
+        "optimizer=kfac", "damping=1e-4", "dataset.kind=random-autoencoder", "dataset.dim=32",
+        "net.dims=32,32", "net.activation=identity", "dataset.n=64", "iterations=200",
+        "inversion_period=1", "lr=3",
+    ]
+    assert cli.main(["train", "--seed", "0", "--out", str(out), *_set_args(sets)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: iteration 20, layer 0, phase inversion: pivot -9.451e-01 at column 24\n"
+    )
+    assert not out.exists()
+
+
 def test_diverged_run_exits_3_at_its_first_non_finite_loss(tmp_path, capsys):
     out = tmp_path / "run"
     sets = [
@@ -365,8 +408,41 @@ def test_more_workers_than_samples_exit_2_before_iteration_1(tmp_path, monkeypat
 
 @pytest.mark.parametrize("bad", [["--d", "0"], ["--b", "0"]], ids=["d=0", "b=0"])
 def test_bad_cost_report_size_exits_2(tmp_path, capsys, bad):
-    assert cli.main(["cost-report", "--seed", "0", "--out", str(tmp_path), *bad]) == 2
+    assert cli.main(["cost-report", "--out", str(tmp_path), *bad]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# cost-report and verify-lemmas take no experiment config; rank1-profile,
+# --timing and --measured are gone.
+@pytest.mark.parametrize(
+    "argv",
+    [["cost-report", "--seed", "0"], ["verify-lemmas", "--seed", "0"],
+     ["cost-report", "--set", "lr=1"], ["verify-lemmas", "--config", "x.cfg"],
+     ["rank1-profile", "--seed", "0"], ["train", "--seed", "0", "--timing"],
+     ["cost-report", "--measured"]],
+    ids=["cost-report-seed", "verify-lemmas-seed", "cost-report-set", "verify-lemmas-config",
+         "rank1-profile", "train-timing", "cost-report-measured"],
+)
+def test_parser_rejects_removed_verbs_and_flags(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "usage: kronopt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_lemmas_writes_its_report(tmp_path):
+    assert cli.main(["verify-lemmas", "--steps", "50", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "lemma_report.json").read_text())
+    assert set(report) == {
+        "pd_chain_d4", "pd_chain_d16", "pd_chain_d64", "exact_sm_max_err_per_dim",
+        "lemma3", "quantization", "sm_discrepancy",
+    }
+    for d in (4, 16, 64):
+        assert report[f"pd_chain_d{d}"]["steps"] == 50
+        assert report[f"pd_chain_d{d}"]["min_cholesky_diag"] > 0.0
+    assert report["exact_sm_max_err_per_dim"] < 1e-9
+    assert report["quantization"]["fitted_constant"] <= 16.0
 
 
 SQUARE_AE = [

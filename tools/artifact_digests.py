@@ -10,9 +10,10 @@ tree and diff the two listings:
     diff old.txt new.txt
 
 ``--src`` names the directory that holds the ``kronopt`` package.  Every run
-goes through ``kronopt.cli.main`` at ``--seed 0 iterations=60
-inversion_period=5`` on three datasets (xor; 3-class gaussian blobs; a
-16-dim random autoencoder under the knee scheduler):
+goes through ``kronopt.cli.main``, so every verb's output is digested.  The
+training runs use ``--seed 0 iterations=60 inversion_period=5`` on three
+datasets (xor; 3-class gaussian blobs; a 16-dim random autoencoder under the
+knee scheduler):
 
 * {mkor, mkor-h (window=10), kfac, sgd} x workers {1, 4}, sngd, mkor with
   half-precision comm at 4 workers and mkor with rank-1 profiling;
@@ -21,9 +22,11 @@ inversion_period=5`` on three datasets (xor; 3-class gaussian blobs; a
 * a 12-dim random autoencoder read from a ``--config`` file that holds a
   tuple key and ``dataset.*`` keys;
 * ``prune --seed 0`` on the default config;
-* ``sweep`` over each of its four axes.
+* ``sweep`` over each of its four axes;
+* ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
+  no config or seed.
 
-45 short runs; a few seconds on one core.
+47 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ def commands(config_path: str) -> dict[str, list[str]]:
             "sweep", "--seed", "0", "--axis", axis, "--values", values,
             *_sets(COMMON + DATASETS[ds]),
         ]
+    cmds["cost-report"] = ["cost-report", "--d", "64", "--b", "8"]
+    cmds["verify-lemmas"] = ["verify-lemmas", "--steps", "50"]
     return cmds
 
 
@@ -131,8 +136,6 @@ def main(argv=None) -> int:
                 return 1
             for root, _, files in sorted(os.walk(out)):
                 for name in sorted(files):
-                    if name == "plot_stub.py":
-                        continue
                     path = os.path.join(root, name)
                     print(cell, os.path.relpath(path, out), _digest(path))
     return 0
