@@ -21,12 +21,10 @@ from .linalg import (
     frobenius_norm,
     identity,
     matmul,
-    matvec,
-    outer,
     scale,
     symmetrize,
 )
-from .optim import sm_update, sm_update_exact, sm_update_quantized
+from .optim import sm_update, sm_update_exact, sm_update_quantized, stabilize
 
 FP16_EPS = 2.0**-11
 
@@ -53,43 +51,15 @@ def rank1_error(c: np.ndarray, v: np.ndarray) -> float:
     return frobenius_norm(c - alpha * np.outer(v, v)) / nc
 
 
-def best_rank1(c: np.ndarray, iters: int = 1000, tol: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Top eigenpair (sigma, v) of a symmetric PSD matrix by power iteration;
-    sigma * v v^T is the optimal rank-1 approximation."""
-    c = linalg.as_matrix(c)
-    n = c.shape[0]
-    v = 1.0 + np.arange(n, dtype=np.float64) / max(n, 1)
-    v /= float(np.sqrt(np.dot(v, v)))
-    sigma = 0.0
-    for _ in range(iters):
-        w = c @ v
-        norm = float(np.sqrt(np.dot(w, w)))
-        if norm == 0.0:
-            return 0.0, v
-        w /= norm
-        sigma_new = float(w @ (c @ w))
-        res = float(np.max(np.abs(c @ w - sigma_new * w)))
-        v, sigma = w, sigma_new
-        if res < tol * max(1.0, abs(sigma)):
-            break
-    return sigma, v
-
-
-def covariance_records(
-    captures, iteration: int, batch_normalize: bool = True
-) -> list[Rank1ErrorRecord]:
+def covariance_records(captures, iteration: int) -> list[Rank1ErrorRecord]:
     """Rank-1 error records for every layer's activation and gradient
     covariance on one batch (mean-vector vs optimal rank-1)."""
     records = []
     for layer, cap in enumerate(captures):
         for kind, mat in (("activation", cap.a_prev), ("gradient", cap.g)):
-            b = mat.shape[1]
-            cov = matmul(mat, linalg.transpose(mat))
-            if batch_normalize:
-                cov = scale(cov, 1.0 / b)
-            mean_vec = linalg.mean_columns(mat)
-            err_mean = rank1_error(cov, mean_vec)
-            sigma, top = best_rank1(cov)
+            cov = scale(matmul(mat, linalg.transpose(mat)), 1.0 / mat.shape[1])
+            err_mean = rank1_error(cov, linalg.mean_columns(mat))
+            _, top = linalg.power_iteration(cov)
             err_best = rank1_error(cov, top)
             records.append(
                 Rank1ErrorRecord(
@@ -245,8 +215,6 @@ def lemma1_chain(
     """Drive a stabilize/sm_update chain from the identity and Cholesky-check
     positive-definiteness along the way.  Returns chain statistics; raises
     NumericalError if any check fails."""
-    from .optim import stabilize
-
     rng = linalg.make_rng(seed)
     f = identity(d)
     min_diag = np.inf

@@ -221,24 +221,30 @@ def cholesky(m) -> np.ndarray | None:
     return c
 
 
-def _start_vector(n: int) -> np.ndarray:
-    # Deterministic, generically non-orthogonal to any fixed eigenvector.
+def power_iteration(m, iters: int = 1000, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+    """Top eigenpair (sigma, v) of a symmetric PSD matrix by power iteration.
+
+    Starts from a fixed vector, generically non-orthogonal to any fixed
+    eigenvector, and stops once ||m v - sigma v||_max < tol * max(1, |sigma|)
+    or after ``iters`` steps.  Counts no flops: only diagnostics call it.
+    """
+    m = as_matrix(m)
+    n = m.shape[0]
     v = 1.0 + np.arange(n, dtype=np.float64) / max(n, 1)
-    return v / float(np.sqrt(np.dot(v, v)))
-
-
-def _power_iterate(m: np.ndarray, iters: int) -> float:
-    v = _start_vector(m.shape[0])
-    lam = 0.0
-    for _ in range(max(1, iters)):
+    v /= float(np.sqrt(np.dot(v, v)))
+    sigma = 0.0
+    for _ in range(iters):
         w = m @ v
         norm = float(np.sqrt(np.dot(w, w)))
         if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (m @ v))
-    counters.add_flops(2.0 * m.size * max(1, iters))
-    return lam
+            return 0.0, v
+        w /= norm
+        sigma_new = float(w @ (m @ w))
+        res = float(np.max(np.abs(m @ w - sigma_new * w)))
+        v, sigma = w, sigma_new
+        if res < tol * max(1.0, abs(sigma)):
+            break
+    return sigma, v
 
 
 def power_iteration_extremes(m, iters: int = 200) -> tuple[float, float]:
@@ -252,13 +258,13 @@ def power_iteration_extremes(m, iters: int = 200) -> tuple[float, float]:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"power_iteration_extremes: non-square {m.shape}")
-    lam_max = _power_iterate(m, iters)
+    lam_max, _ = power_iteration(m, iters)
     delta = 1e-12 * max(inf_norm(m), 1e-30)
     try:
         inv = direct_inverse(m + delta * np.eye(m.shape[0]))
     except SingularMatrix:
         return lam_max, 0.0
-    mu = _power_iterate(symmetrize(inv), iters)
+    mu, _ = power_iteration(symmetrize(inv), iters)
     if mu <= 0.0:
         return lam_max, 0.0
     return lam_max, 1.0 / mu - delta

@@ -5,10 +5,11 @@ baselines.
 
 Conventions shared by every step function:
   * factor inverses start at the identity,
-  * ``training.run_training`` alone decides the factor-update cadence
+  * ``training.run_training`` alone writes factors: it decides the cadence
     (iterations where iter % inversion_period == 0, 1-based; period 0 means
-    "never") and hands the steps the synchronized statistics on those
-    iterations; cached inverses precondition every step,
+    "never") and calls :func:`refresh_factors` or :func:`kfac_invert` on
+    those iterations; the step functions only read the cached inverses,
+    which precondition every step,
   * weights update as W <- W - lr * delta; biases always take the raw
     first-order gradient.
 """
@@ -214,32 +215,28 @@ def _apply_update(net: NetworkState, idx: int, delta, bias_grad, lr: float) -> N
             counters.add_flops(2.0 * bias_grad.size)
 
 
+def refresh_factors(
+    st: FactorState, a_bar: np.ndarray, g_bar: np.ndarray,
+    gamma: float, zeta: float, epsilon_norm: float,
+) -> None:
+    """Stabilized rank-1 update of one layer's inverse factors from the
+    synchronized batch-mean gradient (L) and activation (R) vectors."""
+    with counters.phase("factor_update"):
+        st.l_inv = sm_update(stabilize(st.l_inv, epsilon_norm, zeta), g_bar, gamma)
+        st.r_inv = sm_update(stabilize(st.r_inv, epsilon_norm, zeta), a_bar, gamma)
+
+
 def mkor_step(
     net: NetworkState,
     states: list[FactorState],
     grads: list[np.ndarray],
     bias_grads: list[np.ndarray | None],
     lr: float,
-    gamma: float,
-    zeta: float,
-    epsilon_norm: float,
-    synced: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> None:
-    """One optimizer iteration over all layers.
-
-    ``synced`` carries the allreduced (a_bar, g_bar) per layer on the
-    iterations the caller chose for a factor update: each layer's inverses
-    then take a stabilized rank-1 update before preconditioning.  Without it
-    the cached inverses precondition unchanged.
-    """
+    """One optimizer iteration over all layers: precondition each gradient
+    with the layer's cached inverse factors, rescale it to the gradient's
+    norm and apply it.  The factors are only read here."""
     for idx, (st, grad) in enumerate(zip(states, grads)):
-        if synced is not None:
-            with counters.phase("factor_update"):
-                a_bar, g_bar = synced[idx]
-                l_hat = stabilize(st.l_inv, epsilon_norm, zeta)
-                r_hat = stabilize(st.r_inv, epsilon_norm, zeta)
-                st.l_inv = sm_update(l_hat, g_bar, gamma)
-                st.r_inv = sm_update(r_hat, a_bar, gamma)
         with counters.phase("precondition"):
             delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
         _apply_update(net, idx, delta, bias_grads[idx], lr)

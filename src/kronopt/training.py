@@ -7,7 +7,13 @@ which makes every reduction order (and therefore every float result) fixed.
 Sync rule: on 1-based iteration t a second-order optimizer syncs its factor
 statistics when inversion_period > 0 and t % inversion_period == 0; sngd
 syncs every iteration; sgd never syncs, and neither does mkor-h once it has
-switched to first order.  Cached inverses precondition every step.
+switched to first order.  Only the sync step writes inverse factors; cached
+inverses precondition every step.
+
+Failures: every factor write goes through ``_write_factors``, which fails a
+write that leaves an inverse non-finite and prefixes ``iteration T, layer L,
+phase P:`` to any SingularMatrix or NumericalError.  A non-finite loss raises
+NumericalError naming the iteration.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors (through fp16
 under half_precision_comm); a KFAC sync allreduces each layer's covariance
@@ -44,6 +50,7 @@ from .optim import (
     mkorh_maybe_switch,
     precondition,
     rank1_reduce,
+    refresh_factors,
     sgd_momentum_step,
     sngd_step,
 )
@@ -118,6 +125,18 @@ def _allreduce(arrays, traffic: Traffic, half_precision: bool = False) -> np.nda
     counters.add_flops((len(arrays) + 1.0) * arrays[0].size)
     traffic.ship(arrays[0].size, half_precision)
     return _mean_over_workers(arrays)
+
+
+def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
+    """Call ``write(st, *args)``, which rewrites ``st``'s inverse factors.  A
+    failure, or an inverse left non-finite (checked in plain numpy, so no
+    flops are counted), is raised naming the iteration, layer and phase."""
+    try:
+        write(st, *args)
+        if not (np.isfinite(st.l_inv).all() and np.isfinite(st.r_inv).all()):
+            raise linalg.NumericalError("inverse factor is not finite")
+    except (linalg.SingularMatrix, linalg.NumericalError) as exc:
+        raise type(exc)(f"iteration {t}, layer {layer}, phase {phase}: {exc}") from exc
 
 
 def run_training(cfg: ExperimentConfig) -> RunResult:
@@ -223,7 +242,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                 for l in range(len(specs)):
                     kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
             if sync:
-                # replicas share the synced arrays: nothing writes a factor in place
+                # replicas share the reduced arrays: nothing writes a factor in place
                 for l in range(len(specs)):
                     replicas = [factor_states[w][l] for w in range(n_workers)]
                     lead = replicas[0]
@@ -233,12 +252,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             r_cov = _allreduce([st.r_cov for st in replicas], traffic)
                         for st in replicas:
                             st.l_cov, st.r_cov = l_cov, r_cov
-                    try:
-                        kfac_invert(lead, cfg.damping)
-                    except linalg.SingularMatrix as exc:
-                        raise linalg.SingularMatrix(
-                            f"iteration {t}, layer {l}, phase inversion: {exc}"
-                        ) from exc
+                    _write_factors(t, l, "inversion", kfac_invert, lead, cfg.damping)
                     traffic.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
                     for st in replicas[1:]:
                         st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
@@ -249,21 +263,19 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                         delta = precondition(st.l_inv, grads[l], st.r_inv)
                     optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
         else:
-            synced = None
             if sync:
-                with counters.phase("factor_update"):
-                    synced = []
-                    for l in range(len(specs)):
+                for l in range(len(specs)):
+                    with counters.phase("factor_update"):
                         a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
-                        synced.append((
-                            _allreduce(a_bars, traffic, cfg.half_precision_comm),
-                            _allreduce(g_bars, traffic, cfg.half_precision_comm),
-                        ))
+                        a_bar = _allreduce(a_bars, traffic, cfg.half_precision_comm)
+                        g_bar = _allreduce(g_bars, traffic, cfg.half_precision_comm)
+                    for w in range(n_workers):
+                        _write_factors(
+                            t, l, "factor_update", refresh_factors, factor_states[w][l],
+                            a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
+                        )
             for w in range(n_workers):
-                mkor_step(
-                    nets[w], factor_states[w], grads, bias_grads,
-                    lr_t, cfg.gamma, cfg.zeta, cfg.epsilon_norm, synced=synced,
-                )
+                mkor_step(nets[w], factor_states[w], grads, bias_grads, lr_t)
 
         if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
             rank1_records.extend(covariance_records(worker_caps[0], t))

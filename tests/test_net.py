@@ -12,6 +12,8 @@ from kronopt.net import (
     init_network,
 )
 
+from oracles import scalar_two_layer_tanh
+
 
 @pytest.mark.parametrize("loss", LOSSES)
 @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -33,3 +35,14 @@ def test_backward_matches_central_differences(activation, loss):
     want = finite_difference_grad(net, x, y, loss)
     for cap, fd in zip(caps, want):
         assert np.max(np.abs(cap.w_grad - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+def test_forward_matches_the_scalar_two_layer_net():
+    net = init_network([LayerSpec(3, 5, "tanh"), LayerSpec(5, 2, "identity")], linalg.make_rng(3))
+    rng = linalg.make_rng(4)
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((3, 7))
+    out, _ = forward(net, x)
+    want = scalar_two_layer_tanh(net.weights[0], net.biases[0], net.weights[1], net.biases[1], x)
+    assert np.max(np.abs(out - want)) <= 1e-13

@@ -7,14 +7,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronopt
-from kronopt import cli, config, costs, harness, linalg, training
+from kronopt import cli, config, costs, harness, linalg, optim, training
 from kronopt.config import ExperimentConfig, load_config
 from kronopt.net import backward, forward
 from kronopt.optim import FactorState, KfacState
-from kronopt.prune import greedy_prune, prune_and_measure
+from kronopt.prune import greedy_prune, prune_and_measure, taylor_predicted_loss
 from kronopt.training import build_dataset, run_training
+from oracles import dense_kron_quadratic, random_spd
 
 
 def _expected_prune_report(cfg, layer: int, k: int) -> dict:
@@ -55,6 +58,22 @@ def test_prune_scores_the_trained_network(tmp_path, overrides):
     got = json.loads((tmp_path / "prune_report.json").read_text())
     want = _expected_prune_report(load_config(None, overrides, seed=0), layer=0, k=3)
     assert got == want
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    rows=st.integers(1, 4), cols=st.integers(1, 4),
+    loss0=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1),
+)
+def test_pruning_surrogate_matches_the_dense_quadratic(rows, cols, loss0, seed):
+    rng = np.random.default_rng(seed)
+    delta_w, grad = rng.standard_normal((2, rows, cols))
+    left, right = random_spd(rng, rows), random_spd(rng, cols)
+    got = taylor_predicted_loss(loss0, delta_w, grad, left, right)
+    want = loss0 + dense_kron_quadratic(delta_w, grad, left, right)
+    # relative to the sizes of the three terms, which may cancel in the sum
+    quad = dense_kron_quadratic(delta_w, np.zeros_like(grad), left, right)
+    assert abs(got - want) <= 1e-12 * (abs(loss0) + np.sum(np.abs(delta_w * grad)) + quad)
 
 
 @pytest.mark.parametrize(
@@ -307,6 +326,41 @@ def test_kfac_pivot_failure_names_iteration_layer_and_phase(tmp_path, capsys):
         "numerical failure: iteration 20, layer 0, phase inversion: pivot -9.451e-01 at column 24\n"
     )
     assert not out.exists()
+
+
+# Long-horizon regression tests on the printed update (ROADMAP item 1): the
+# rank-1 refresh drives an inverse factor to overflow, and the run must stop at
+# that sync, naming it, rather than one iteration later at a NaN loss.
+@pytest.mark.parametrize(
+    "sets, where",
+    [
+        ([], "iteration 4770, layer 1"),
+        (
+            ["dataset.kind=gaussian-blobs", "net.dims=8,16,3", "loss=softmax_cross_entropy",
+             "dataset.n=128", "batch=16"],
+            "iteration 4620, layer 0",
+        ),
+    ],
+    ids=["xor", "blobs"],
+)
+def test_long_run_stops_at_its_first_non_finite_inverse(tmp_path, capsys, sets, where):
+    out = tmp_path / "run"
+    argv = ["train", "--seed", "0", "--out", str(out), *_set_args(["iterations=6000", *sets])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: {where}, phase factor_update: inverse factor is not finite\n"
+    )
+    assert not out.exists()
+
+
+def test_rank1_refresh_failure_names_iteration_layer_and_phase(monkeypatch):
+    monkeypatch.setattr(optim, "stabilize", lambda f_inv, epsilon_norm, zeta: -np.eye(len(f_inv)))
+    with pytest.raises(linalg.NumericalError) as exc:
+        run_training(load_config(None, [], seed=0))
+    assert str(exc.value) == (
+        "iteration 10, layer 0, phase factor_update: rank-1 update denominator lost positivity"
+    )
 
 
 def test_diverged_run_exits_3_at_its_first_non_finite_loss(tmp_path, capsys):
