@@ -45,7 +45,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     _write_csv(
         os.path.join(out_dir, "cost.csv"),
         COST_CSV_COLUMNS,
-        cost_csv_rows(result.trace),
+        cost_csv_rows(result.trace, cfg),
     )
     if result.rank1_records:
         _write_csv(

@@ -295,6 +295,14 @@ def sngd_step(net: NetworkState, captures: list[LayerCapture], mu: float, lr: fl
         _apply_update(net, idx, delta, cap.b_grad, lr)
 
 
+def _heavy_ball(vel: np.ndarray, grad: np.ndarray, momentum: float) -> np.ndarray:
+    """vel <- momentum*vel + grad in place, counted; returns vel."""
+    np.multiply(vel, momentum, out=vel)
+    np.add(vel, grad, out=vel)
+    counters.add_flops(2.0 * vel.size)
+    return vel
+
+
 def sgd_momentum_step(
     net: NetworkState,
     grads: list[np.ndarray],
@@ -310,15 +318,10 @@ def sgd_momentum_step(
             None if b is None else np.zeros_like(b) for b in net.biases
         ]
     for idx, (grad, bg) in enumerate(zip(grads, bias_grads)):
-        vel = state.velocities[idx]
-        np.multiply(vel, momentum, out=vel)
-        np.add(vel, grad, out=vel)
-        counters.add_flops(2.0 * vel.size)
-        if bg is not None and net.biases[idx] is not None:
-            bvel = state.bias_velocities[idx]
-            np.multiply(bvel, momentum, out=bvel)
-            np.add(bvel, bg, out=bvel)
-            bg = bvel
+        with counters.phase("weight_update"):
+            vel = _heavy_ball(state.velocities[idx], grad, momentum)
+            if bg is not None and net.biases[idx] is not None:
+                bg = _heavy_ball(state.bias_velocities[idx], bg, momentum)
         _apply_update(net, idx, vel, bg, lr)
 
 

@@ -13,7 +13,9 @@ inverses precondition every step.
 Failures: every factor write goes through ``_write_factors``, which fails a
 write that leaves an inverse non-finite and prefixes ``iteration T, layer L,
 phase P:`` to any SingularMatrix or NumericalError.  A non-finite loss raises
-NumericalError naming the iteration.
+NumericalError naming the iteration.  The factor write and forward/backward
+run with numpy's overflow warnings off, so the named error is all the user
+sees.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors (through fp16
 under half_precision_comm); a KFAC sync allreduces each layer's covariance
@@ -35,9 +37,9 @@ import numpy as np
 from . import counters, linalg, optim
 from .analysis import Rank1ErrorRecord, covariance_records
 from .config import ConfigError, ExperimentConfig
-from .costs import RANK1_OPTIMIZERS, WIRE_BYTES_FULL, WIRE_BYTES_HALF, RunTrace
+from .costs import RunTrace, Traffic, layer_memory
 from .data import Dataset, batch_slice, shard_dataset, synth_dataset, idx_dataset
-from .net import LayerSpec, NetworkState, backward, forward, init_network
+from .net import NetworkState, backward, forward, init_network
 from .optim import (
     FactorState,
     HybridState,
@@ -84,37 +86,11 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
 
 
-def _layer_memory(opt: str, s: LayerSpec, batch: int) -> int:
-    """Elements the optimizer holds for one layer."""
-    i, o = s.in_dim, s.out_dim
-    if opt in RANK1_OPTIMIZERS:  # both inverses, and the rank-1 vectors held during a sync
-        return i * i + o * o + i + o
-    if opt == "kfac":  # both covariances and both inverses
-        return 2 * (i * i + o * o)
-    if opt == "sngd":  # batch activations and gradients plus the batch kernel
-        return 2 * batch * max(i, o) + batch * batch
-    return i * o  # sgd: one velocity per weight
-
-
 def _mean_over_workers(arrays) -> np.ndarray:
     acc = np.zeros_like(arrays[0])
     for a in arrays:
         np.add(acc, a, out=acc)
     return acc / float(len(arrays))
-
-
-@dataclass
-class Traffic:
-    """Elements and bytes the optimizer's collectives ship between workers."""
-
-    workers: int
-    elements: float = 0.0
-    wire_bytes: float = 0.0
-
-    def ship(self, size: int, half_precision: bool = False) -> None:
-        if self.workers > 1:  # nothing ships on one worker
-            self.elements += size
-            self.wire_bytes += size * (WIRE_BYTES_HALF if half_precision else WIRE_BYTES_FULL)
 
 
 def _allreduce(arrays, traffic: Traffic, half_precision: bool = False) -> np.ndarray:
@@ -132,7 +108,8 @@ def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
     failure, or an inverse left non-finite (checked in plain numpy, so no
     flops are counted), is raised naming the iteration, layer and phase."""
     try:
-        write(st, *args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+            write(st, *args)
         if not (np.isfinite(st.l_inv).all() and np.isfinite(st.r_inv).all()):
             raise linalg.NumericalError("inverse factor is not finite")
     except (linalg.SingularMatrix, linalg.NumericalError) as exc:
@@ -175,9 +152,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         if cfg.scheduler == "knee" else None
     epoch_iters = cfg.epoch_iters or max(1, -(-shards[0].n // cfg.batch))
     period = cfg.inversion_period
-    memory = sum(_layer_memory(opt, s, cfg.batch) for s in specs)
-    if state_type is not None:
-        memory = float(memory)  # factor-state totals are reported as floats
+    memory = sum(layer_memory(opt, s.out_dim, s.in_dim, cfg.batch) for s in specs)
     traffic = Traffic(n_workers)
 
     losses: list[float] = []
@@ -192,7 +167,8 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         t0 = time.perf_counter()
         worker_caps = []
         worker_losses = []
-        with counters.phase("forward_backward"):
+        # an overflow here is named by the finite-loss check below
+        with counters.phase("forward_backward"), np.errstate(over="ignore", invalid="ignore"):
             for w in range(n_workers):
                 x, y = batch_slice(shards[w], t, cfg.batch)
                 out, net_trace = forward(nets[w], x)
@@ -286,10 +262,6 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         for w in range(1, n_workers)
     )
     trace = RunTrace(
-        optimizer=opt,
-        d=max(max(s.in_dim, s.out_dim) for s in specs),
-        b=cfg.batch,
-        workers=n_workers,
         flops=counters.flops_snapshot(),
         comm_elements=traffic.elements,
         comm_bytes=traffic.wire_bytes,

@@ -137,3 +137,13 @@ def sngd_dense_update(a, g, grad, mu) -> np.ndarray:
         u[:, i] = np.outer(g[:, i], a[:, i]).reshape(-1)
     fim = u @ u.T + mu * np.eye(d_out * d_in)
     return np.linalg.solve(fim, grad.reshape(-1)).reshape(d_out, d_in)
+
+
+def sm_update_printed(f_inv, v, gamma: float) -> np.ndarray:
+    """The rank-1 factor-inverse update as the paper prints it, in plain numpy:
+    g*F^-1 + (1-g) / (g^2 (1 + g(1-g) v^T F^-1 v)) * F^-1 v v^T F^-1, then
+    symmetrized as (M + M^T) / 2."""
+    u = f_inv @ v
+    coeff = (1.0 - gamma) / (gamma**2 * (1.0 + gamma * (1.0 - gamma) * (v @ u)))
+    out = gamma * f_inv + coeff * np.outer(u, u)
+    return 0.5 * (out + out.T)

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronopt.net import LayerCapture
-from kronopt.optim import sngd_precondition
+from kronopt.optim import sm_update, sm_update_exact, sngd_precondition, stabilize
 
-from oracles import sngd_dense_update
+from oracles import jacobi_eigenvalues, random_spd, sm_update_printed, sngd_dense_update
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -21,3 +21,40 @@ def test_sngd_matches_the_dense_fisher_solve(d_out, d_in, b, mu, seed):
     (got,) = sngd_precondition([LayerCapture(a_prev=a, g=g, w_grad=grad)], mu)
     want = sngd_dense_update(a, g, grad, mu)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _spd_inverse_and_vector(d: int, seed: int):
+    """A random SPD factor F, its inverse and a random direction v."""
+    rng = np.random.default_rng(seed)
+    f = random_spd(rng, d)
+    return f, np.linalg.inv(f), rng.standard_normal(d)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(1, 8), gamma=st.floats(0.5, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_exact_sm_update_inverts_the_momentum_factor(d, gamma, seed):
+    f, f_inv, v = _spd_inverse_and_vector(d, seed)
+    want = np.linalg.inv(gamma * f + (1.0 - gamma) * np.outer(v, v))
+    got = sm_update_exact(f_inv, v, gamma)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(1, 8), gamma=st.floats(0.5, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_sm_update_is_the_printed_formula(d, gamma, seed):
+    _, f_inv, v = _spd_inverse_and_vector(d, seed)
+    want = sm_update_printed(f_inv, v, gamma)
+    assert np.max(np.abs(sm_update(f_inv, v, gamma) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# One step of the PD lemma only: a long printed chain does not stay PD (the
+# verify-lemmas pin in test_training.py).
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    d=st.integers(1, 6), gamma=st.floats(0.5, 0.99), zeta=st.floats(0.5, 1.0),
+    epsilon=st.floats(0.5, 100.0), seed=st.integers(0, 2**32 - 1),
+)
+def test_one_stabilized_sm_update_stays_positive_definite(d, gamma, zeta, epsilon, seed):
+    _, f_inv, v = _spd_inverse_and_vector(d, seed)
+    out = sm_update(stabilize(f_inv, epsilon, zeta), v, gamma)
+    assert jacobi_eigenvalues(out)[0] > 0.0

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,40 @@ def test_diverged_run_exits_3_at_its_first_non_finite_loss(tmp_path, capsys):
     assert not out.exists()
 
 
+DIVERGED_SGD = [
+    "optimizer=sgd", "lr=100", "dataset.kind=random-autoencoder", "dataset.dim=32",
+    "net.dims=32,32", "net.activation=identity", "dataset.n=64", "iterations=60",
+]
+
+
+# A guarded failure reaches the user as its named error alone: the overflow
+# behind it raises no numpy warning first.
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (DIVERGED_SGD, "loss is inf at iteration 38"),
+        (["iterations=6000"],
+         "iteration 4770, layer 1, phase factor_update: inverse factor is not finite"),
+    ],
+    ids=["diverged-sgd", "xor-6000"],
+)
+def test_guarded_failures_raise_no_numpy_warning(sets, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(linalg.NumericalError) as exc:
+            run_training(load_config(None, sets, seed=0))
+    assert str(exc.value) == message
+
+
+# The printed update's PD chain breaks at step 66 of d=4 (ROADMAP item 6), so
+# verify-lemmas fails at its own default of 2000 steps.  A bounded update is
+# what should flip this test; do not weaken it.
+def test_verify_lemmas_at_its_default_steps_loses_pd_at_step_66(tmp_path, capsys):
+    assert cli.main(["verify-lemmas", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: PD lost at step 66 (d=4)\n"
+    assert not (tmp_path / "lemma_report.json").exists()
+
+
 # The default network is 2 -> 8 -> 1, so layer 0 has an 8x2 weight (16 units).
 BAD_PRUNE_ARGS = {
     "tile-not-a-size": ["--tile", "abc"],
@@ -524,6 +559,33 @@ def test_traffic_is_counted_where_it_ships(optimizer, workers, half):
     per_sync = costs.analytic_cost(optimizer, 8, cfg.batch).comm_elements if workers > 1 else 0.0
     assert trace.comm_elements == trace.sync_events * layers * per_sync
     assert trace.comm_bytes == trace.comm_elements * (2 if half else 4)
+
+
+@pytest.mark.parametrize("optimizer", ["mkor", "mkor-h", "kfac", "sngd", "sgd"])
+def test_run_memory_is_the_analytic_row_per_layer(optimizer):
+    cfg = load_config(None, SQUARE_AE + [f"optimizer={optimizer}"], seed=0)
+    layers = len(cfg.layer_specs())
+    memory = run_training(cfg).trace.memory_elements
+    assert memory == layers * costs.analytic_cost(optimizer, 8, cfg.batch).memory_elements
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "lamb"])
+def test_adam_and_lamb_hold_two_moments_per_weight(optimizer):
+    assert costs.analytic_cost(optimizer, 16, 4).memory_elements == 2 * 16 * 16
+
+
+# Momentum's velocity updates, weights and biases, count as weight_update; no
+# flop falls outside the five phases cost.csv lists.
+@pytest.mark.parametrize(
+    "sets, switch_iteration, weight_update",
+    [(["optimizer=sgd"], None, 7920.0), (["optimizer=mkor-h", "window=10"], 41, 5280.0)],
+    ids=["sgd", "mkor-h"],
+)
+def test_momentum_flops_land_in_weight_update(sets, switch_iteration, weight_update):
+    result = run_training(load_config(None, ["iterations=60", "inversion_period=5", *sets], seed=0))
+    assert result.switch_iteration == switch_iteration
+    assert result.trace.flops["other"] == 0.0
+    assert result.trace.flops["weight_update"] == weight_update
 
 
 def test_kfac_inverts_once_per_layer_per_sync(monkeypatch):

@@ -19,7 +19,8 @@ knee scheduler):
   half-precision comm at 4 workers and mkor with rank-1 profiling;
 * xor under the step scheduler, with milestones that decay the lr at
   iterations 11 and 41;
-* xor with relu and with sigmoid hidden layers;
+* xor with relu, sigmoid and identity hidden layers;
+* sgd on xor without biases;
 * a 12-dim random autoencoder read from a ``--config`` file that holds a
   tuple key and ``dataset.*`` keys;
 * ``prune --seed 0`` on the default config, by element and by 2x2 tile
@@ -28,7 +29,7 @@ knee scheduler):
 * ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
   no config or seed.
 
-50 short runs; a few seconds on one core.
+52 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def commands(config_path: str) -> dict[str, list[str]]:
         for run, run_sets in RUNS.items():
             cmds[f"{ds}/{run}"] = ["train", "--seed", "0", *_sets(COMMON + ds_sets + run_sets)]
     cmds["xor/step"] = ["train", "--seed", "0", *_sets(COMMON + STEP_SCHEDULE)]
-    for act in ("relu", "sigmoid"):
+    for act in ("relu", "sigmoid", "identity"):
         cmds[f"xor/{act}"] = ["train", "--seed", "0", *_sets(COMMON + (f"net.activation={act}",))]
+    cmds["xor/sgd-no-bias"] = ["train", "--seed", "0", *_sets(COMMON + ("net.bias=false", "optimizer=sgd"))]
     cmds["config-file"] = ["train", "--seed", "0", "--config", config_path, *_sets(COMMON)]
     cmds["prune"] = ["prune", "--seed", "0"]
     cmds["prune-tile"] = ["prune", "--seed", "0", "--tile", "2x2", "--k", "2"]
