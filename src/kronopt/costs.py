@@ -1,6 +1,6 @@
 """Cost accounting: the one statement of each optimizer's per-layer costs (the
-complexity-table analog), the traffic tally and the measured counters of a
-training run.
+complexity-table analog), and :class:`RunTrace`, the one ledger of a training
+run's measured costs.
 
 Flops and communication are leading-term counts with the printed constants,
 lower-order terms excluded.  Memory is exact: :func:`layer_memory` is the
@@ -12,7 +12,9 @@ reported since the "divide by 2" shorthand conflates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .counters import PHASES
 
 OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "eva", "sgd", "adam", "lamb")
 # the tags that sync rank-1 vectors, the only payload that may ship half width
@@ -82,53 +84,41 @@ def analytic_cost(optimizer: str, d: int, b: int, half_precision: bool = False) 
 
 
 @dataclass
-class Traffic:
-    """Elements and bytes the optimizer's collectives ship between workers."""
+class RunTrace:
+    """The ledger of one training run.  ``run_training`` builds it before
+    iteration 1 and adds every measured cost to it as the run goes: flops by
+    phase through :func:`kronopt.counters.recording`, traffic through
+    :meth:`ship`, sync events and per-step wall times.  The step times are the
+    only wall-clock measure and enter no artifact."""
 
     workers: int
-    elements: float = 0.0
-    wire_bytes: float = 0.0
+    memory_elements: float
+    flops: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))  # phase -> total count
+    comm_elements: float = 0.0
+    comm_bytes: float = 0.0
+    sync_events: int = 0
+    step_wall_ms: list[float] = field(default_factory=list)
 
     def ship(self, size: int, half_precision: bool = False) -> None:
+        """Tally one collective's payload of ``size`` elements."""
         if self.workers > 1:  # nothing ships on one worker
-            self.elements += size
-            self.wire_bytes += size * _wire_bytes(half_precision)
-
-
-@dataclass
-class RunTrace:
-    """Raw instrumentation from a training run."""
-
-    flops: dict  # phase -> total count
-    comm_elements: float
-    comm_bytes: float
-    memory_elements: float
-    sync_events: int
-    step_wall_ms: list[float]
-
-
-COST_CSV_COLUMNS = (
-    "optimizer", "phase", "d", "b", "workers", "flops", "comm_elements", "comm_bytes",
-    "memory_elements",
-)
+            self.comm_elements += size
+            self.comm_bytes += size * _wire_bytes(half_precision)
 
 
 def cost_csv_rows(trace: RunTrace, cfg) -> list[dict]:
-    """One row per phase of the run ``cfg`` configured, ready for the cost
-    CSV; d is the widest layer dimension."""
-    rows = []
-    for phase_name in ("factor_update", "inversion", "precondition", "weight_update", "forward_backward"):
-        rows.append(
-            {
-                "optimizer": cfg.optimizer,
-                "phase": phase_name,
-                "d": max(cfg.net_dims),
-                "b": cfg.batch,
-                "workers": cfg.workers,
-                "flops": repr(trace.flops.get(phase_name, 0.0)),
-                "comm_elements": repr(trace.comm_elements) if phase_name == "factor_update" else "0.0",
-                "comm_bytes": repr(trace.comm_bytes) if phase_name == "factor_update" else "0.0",
-                "memory_elements": repr(trace.memory_elements) if phase_name == "factor_update" else "0.0",
-            }
-        )
-    return rows
+    """One row per counted phase of the run ``cfg`` configured, ready for the
+    cost CSV; d is the widest layer dimension.  The run's totals are in
+    summary.json."""
+    return [
+        {
+            "optimizer": cfg.optimizer,
+            "phase": phase_name,
+            "d": max(cfg.net_dims),
+            "b": cfg.batch,
+            "workers": cfg.workers,
+            "flops": repr(trace.flops[phase_name]),
+        }
+        for phase_name in PHASES
+        if phase_name != "other"
+    ]

@@ -1,41 +1,44 @@
-"""Process-wide flop accounting, bucketed by pipeline phase.
+"""Flop accounting, bucketed by pipeline phase, into the run being recorded.
 
-The training loop brackets each stage with ``phase(...)`` so that the dense
-kernels in :mod:`kronopt.linalg` can stay ignorant of which stage they serve.
-Counts are floating multiply/add operations as implemented (not big-O).
-Wall-clock time is not kept here; only the training loop's per-step times
-(``RunTrace.step_wall_ms``) are measured, and they enter no artifact.
+The training loop runs inside ``recording(trace.flops)`` and brackets each
+stage with ``phase(...)``, so that the dense kernels in :mod:`kronopt.linalg`
+can stay ignorant of which stage, and which run, they serve.  Outside a
+recording nothing is tallied, so no total outlives its run.  Counts are
+floating multiply/add operations as implemented (not big-O).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+# in cost.csv's row order; "other" holds what no phase brackets and is not a row
 PHASES = (
-    "forward_backward",
     "factor_update",
     "inversion",
     "precondition",
     "weight_update",
+    "forward_backward",
     "other",
 )
 
-_flops: dict[str, float] = {p: 0.0 for p in PHASES}
+_tally: dict[str, float] | None = None
 _stack: list[str] = []
 
 
-def reset() -> None:
-    for p in PHASES:
-        _flops[p] = 0.0
-    _stack.clear()
-
-
-def current_phase() -> str:
-    return _stack[-1] if _stack else "other"
-
-
 def add_flops(n: float) -> None:
-    _flops[current_phase()] += n
+    if _tally is not None:
+        _tally[_stack[-1] if _stack else "other"] += n
+
+
+@contextmanager
+def recording(tally: dict[str, float]):
+    """Add the flops counted in the block to ``tally``, keyed by phase."""
+    global _tally
+    _tally = tally
+    try:
+        yield
+    finally:
+        _tally = None
 
 
 @contextmanager
@@ -48,7 +51,3 @@ def phase(name: str):
         yield
     finally:
         _stack.pop()
-
-
-def flops_snapshot() -> dict[str, float]:
-    return dict(_flops)

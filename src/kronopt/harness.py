@@ -13,7 +13,7 @@ import os
 from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, apply_assignment, config_as_dict
-from .costs import COST_CSV_COLUMNS, cost_csv_rows
+from .costs import cost_csv_rows
 from .net import save_checkpoint
 from .training import RunResult, run_training
 
@@ -42,11 +42,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunResult:
             for i, (l, lr) in enumerate(zip(result.losses, result.lrs))
         ),
     )
-    _write_csv(
-        os.path.join(out_dir, "cost.csv"),
-        COST_CSV_COLUMNS,
-        cost_csv_rows(result.trace, cfg),
-    )
+    cost_rows = cost_csv_rows(result.trace, cfg)
+    _write_csv(os.path.join(out_dir, "cost.csv"), cost_rows[0], cost_rows)
     if result.rank1_records:
         _write_csv(
             os.path.join(out_dir, "rank1.csv"),

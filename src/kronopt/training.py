@@ -17,11 +17,13 @@ NumericalError naming the iteration.  The factor write and forward/backward
 run with numpy's overflow warnings off, so the named error is all the user
 sees.
 
-Traffic: a mkor sync allreduces each layer's rank-1 vectors (through fp16
-under half_precision_comm); a KFAC sync allreduces each layer's covariance
-factors, worker 0 alone inverts them and broadcasts the inverses.  These
-collectives tally what they ship, and nothing ships on one worker (sngd's
-only setting).  Weight gradients are averaged as ambient data-parallel
+Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
+allreduces each layer's covariance factors, worker 0 alone inverts them and
+broadcasts the inverses.  These collectives tally what they ship in the
+run's RunTrace through ``RunTrace.ship``, and nothing ships on one worker
+(sngd's only setting).  Under half_precision_comm the rank-1 vectors are
+rounded through fp16 only when they ship, so one worker trains exactly as
+without it.  Weight gradients are averaged as ambient data-parallel
 traffic and are not counted, matching the complexity-table accounting where
 first-order rows communicate nothing.
 """
@@ -37,7 +39,7 @@ import numpy as np
 from . import counters, linalg, optim
 from .analysis import Rank1ErrorRecord, covariance_records
 from .config import ConfigError, ExperimentConfig
-from .costs import RunTrace, Traffic, layer_memory
+from .costs import RunTrace, layer_memory
 from .data import Dataset, batch_slice, shard_dataset, synth_dataset, idx_dataset
 from .net import NetworkState, backward, forward, init_network
 from .optim import (
@@ -93,13 +95,14 @@ def _mean_over_workers(arrays) -> np.ndarray:
     return acc / float(len(arrays))
 
 
-def _allreduce(arrays, traffic: Traffic, half_precision: bool = False) -> np.ndarray:
-    """Mean of one optimizer payload over the workers: each array rounded
-    through fp16 under ``half_precision``, (W+1)*size adds counted, shipped."""
-    if half_precision:
+def _allreduce(arrays, trace: RunTrace, half_precision: bool = False) -> np.ndarray:
+    """Mean of one optimizer payload over the workers: (W+1)*size adds
+    counted, shipped; under ``half_precision`` each array is rounded through
+    fp16 when there is more than one to ship."""
+    if half_precision and len(arrays) > 1:
         arrays = [fp16_roundtrip(a) for a in arrays]
     counters.add_flops((len(arrays) + 1.0) * arrays[0].size)
-    traffic.ship(arrays[0].size, half_precision)
+    trace.ship(arrays[0].size, half_precision)
     return _mean_over_workers(arrays)
 
 
@@ -132,7 +135,6 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
     shards = shard_dataset(ds, cfg.workers, cfg.seed)
     del ds  # the shards hold every sample; one copy is enough
 
-    counters.reset()
     n_workers = cfg.workers
     rng = linalg.make_rng(cfg.seed)
     specs = cfg.layer_specs()
@@ -152,122 +154,114 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         if cfg.scheduler == "knee" else None
     epoch_iters = cfg.epoch_iters or max(1, -(-shards[0].n // cfg.batch))
     period = cfg.inversion_period
-    memory = sum(layer_memory(opt, s.out_dim, s.in_dim, cfg.batch) for s in specs)
-    traffic = Traffic(n_workers)
+    trace = RunTrace(
+        n_workers, sum(layer_memory(opt, s.out_dim, s.in_dim, cfg.batch) for s in specs)
+    )
 
     losses: list[float] = []
     lrs: list[float] = []
     rank1_records: list[Rank1ErrorRecord] = []
-    step_wall: list[float] = []
-    sync_events = 0
     switch_iteration = None
     lr_t = cfg.lr
 
-    for t in range(1, cfg.iterations + 1):
-        t0 = time.perf_counter()
-        worker_caps = []
-        worker_losses = []
-        # an overflow here is named by the finite-loss check below
-        with counters.phase("forward_backward"), np.errstate(over="ignore", invalid="ignore"):
-            for w in range(n_workers):
-                x, y = batch_slice(shards[w], t, cfg.batch)
-                out, net_trace = forward(nets[w], x)
-                lval, caps = backward(nets[w], net_trace, y, cfg.loss)
-                worker_caps.append(caps)
-                worker_losses.append(lval)
-        loss_t = sum(worker_losses) / n_workers
-        if not math.isfinite(loss_t):
-            raise linalg.NumericalError(f"loss is {loss_t} at iteration {t}")
-        losses.append(loss_t)
+    with counters.recording(trace.flops):
+        for t in range(1, cfg.iterations + 1):
+            t0 = time.perf_counter()
+            worker_caps = []
+            worker_losses = []
+            # an overflow here is named by the finite-loss check below
+            with counters.phase("forward_backward"), np.errstate(over="ignore", invalid="ignore"):
+                for w in range(n_workers):
+                    x, y = batch_slice(shards[w], t, cfg.batch)
+                    out, net_trace = forward(nets[w], x)
+                    lval, caps = backward(nets[w], net_trace, y, cfg.loss)
+                    worker_caps.append(caps)
+                    worker_losses.append(lval)
+            loss_t = sum(worker_losses) / n_workers
+            if not math.isfinite(loss_t):
+                raise linalg.NumericalError(f"loss is {loss_t} at iteration {t}")
+            losses.append(loss_t)
 
-        if knee is not None:
-            knee, lr_t = knee_point_update(knee, loss_t)
-        elif cfg.scheduler == "step":
-            epoch = (t - 1) // epoch_iters
-            lr_t = step_decay(epoch, cfg.milestones, cfg.decay_factor, base_lr=cfg.lr)
-        lrs.append(lr_t)
+            if knee is not None:
+                knee, lr_t = knee_point_update(knee, loss_t)
+            elif cfg.scheduler == "step":
+                epoch = (t - 1) // epoch_iters
+                lr_t = step_decay(epoch, cfg.milestones, cfg.decay_factor, base_lr=cfg.lr)
+            lrs.append(lr_t)
 
-        # ambient data-parallel gradient averaging (not optimizer traffic)
-        grads = [
-            _mean_over_workers([worker_caps[w][l].w_grad for w in range(n_workers)])
-            for l in range(len(specs))
-        ]
-        bias_grads = [
-            _mean_over_workers([worker_caps[w][l].b_grad for w in range(n_workers)])
-            if worker_caps[0][l].b_grad is not None else None
-            for l in range(len(specs))
-        ]
+            # ambient data-parallel gradient averaging (not optimizer traffic)
+            grads = [
+                _mean_over_workers([worker_caps[w][l].w_grad for w in range(n_workers)])
+                for l in range(len(specs))
+            ]
+            bias_grads = [
+                _mean_over_workers([worker_caps[w][l].b_grad for w in range(n_workers)])
+                if worker_caps[0][l].b_grad is not None else None
+                for l in range(len(specs))
+            ]
 
-        if hybrid is not None:
-            mkorh_maybe_switch(hybrid, loss_t)
-            if hybrid.mode == "first_order" and switch_iteration is None:
-                switch_iteration = t
-        first_order = opt == "sgd" or switch_iteration is not None
-        sync = not first_order and (opt == "sngd" or (period > 0 and t % period == 0))
-        sync_events += sync
+            if hybrid is not None:
+                mkorh_maybe_switch(hybrid, loss_t)
+                if hybrid.mode == "first_order" and switch_iteration is None:
+                    switch_iteration = t
+            first_order = opt == "sgd" or switch_iteration is not None
+            sync = not first_order and (opt == "sngd" or (period > 0 and t % period == 0))
+            trace.sync_events += sync
 
-        if first_order:
-            for w in range(n_workers):
-                sgd_momentum_step(
-                    nets[w], grads, lr_t, cfg.momentum, sgd_states[w], bias_grads
-                )
-        elif opt == "sngd":
-            sngd_step(nets[0], worker_caps[0], cfg.damping, lr_t)
-        elif opt == "kfac":
-            for w in range(n_workers):
-                for l in range(len(specs)):
-                    kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
-            if sync:
-                # replicas share the reduced arrays: nothing writes a factor in place
-                for l in range(len(specs)):
-                    replicas = [factor_states[w][l] for w in range(n_workers)]
-                    lead = replicas[0]
-                    if n_workers > 1:  # one worker has nothing to reduce
+            if first_order:
+                for w in range(n_workers):
+                    sgd_momentum_step(
+                        nets[w], grads, lr_t, cfg.momentum, sgd_states[w], bias_grads
+                    )
+            elif opt == "sngd":
+                sngd_step(nets[0], worker_caps[0], cfg.damping, lr_t)
+            elif opt == "kfac":
+                for w in range(n_workers):
+                    for l in range(len(specs)):
+                        kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
+                if sync:
+                    # replicas share the reduced arrays: nothing writes a factor in place
+                    for l in range(len(specs)):
+                        replicas = [factor_states[w][l] for w in range(n_workers)]
+                        lead = replicas[0]
+                        if n_workers > 1:  # one worker has nothing to reduce
+                            with counters.phase("factor_update"):
+                                l_cov = _allreduce([st.l_cov for st in replicas], trace)
+                                r_cov = _allreduce([st.r_cov for st in replicas], trace)
+                            for st in replicas:
+                                st.l_cov, st.r_cov = l_cov, r_cov
+                        _write_factors(t, l, "inversion", kfac_invert, lead, cfg.damping)
+                        trace.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
+                        for st in replicas[1:]:
+                            st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
+                for w in range(n_workers):
+                    for l in range(len(specs)):
+                        st = factor_states[w][l]
+                        with counters.phase("precondition"):
+                            delta = precondition(st.l_inv, grads[l], st.r_inv)
+                        optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
+            else:
+                if sync:
+                    for l in range(len(specs)):
                         with counters.phase("factor_update"):
-                            l_cov = _allreduce([st.l_cov for st in replicas], traffic)
-                            r_cov = _allreduce([st.r_cov for st in replicas], traffic)
-                        for st in replicas:
-                            st.l_cov, st.r_cov = l_cov, r_cov
-                    _write_factors(t, l, "inversion", kfac_invert, lead, cfg.damping)
-                    traffic.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
-                    for st in replicas[1:]:
-                        st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
-            for w in range(n_workers):
-                for l in range(len(specs)):
-                    st = factor_states[w][l]
-                    with counters.phase("precondition"):
-                        delta = precondition(st.l_inv, grads[l], st.r_inv)
-                    optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
-        else:
-            if sync:
-                for l in range(len(specs)):
-                    with counters.phase("factor_update"):
-                        a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
-                        a_bar = _allreduce(a_bars, traffic, cfg.half_precision_comm)
-                        g_bar = _allreduce(g_bars, traffic, cfg.half_precision_comm)
-                    for w in range(n_workers):
-                        _write_factors(
-                            t, l, "factor_update", refresh_factors, factor_states[w][l],
-                            a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
-                        )
-            for w in range(n_workers):
-                mkor_step(nets[w], factor_states[w], grads, bias_grads, lr_t)
+                            a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
+                            a_bar = _allreduce(a_bars, trace, cfg.half_precision_comm)
+                            g_bar = _allreduce(g_bars, trace, cfg.half_precision_comm)
+                        for w in range(n_workers):
+                            _write_factors(
+                                t, l, "factor_update", refresh_factors, factor_states[w][l],
+                                a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
+                            )
+                for w in range(n_workers):
+                    mkor_step(nets[w], factor_states[w], grads, bias_grads, lr_t)
 
-        if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
-            rank1_records.extend(covariance_records(worker_caps[0], t))
-        step_wall.append((time.perf_counter() - t0) * 1e3)
+            if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
+                rank1_records.extend(covariance_records(worker_caps[0], t))
+            trace.step_wall_ms.append((time.perf_counter() - t0) * 1e3)
 
     workers_identical = all(
         all(np.array_equal(nets[w].weights[l], nets[0].weights[l]) for l in range(len(specs)))
         for w in range(1, n_workers)
-    )
-    trace = RunTrace(
-        flops=counters.flops_snapshot(),
-        comm_elements=traffic.elements,
-        comm_bytes=traffic.wire_bytes,
-        memory_elements=memory,
-        sync_events=sync_events,
-        step_wall_ms=step_wall,
     )
     return RunResult(
         losses=losses,

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronopt.net import LayerCapture
-from kronopt.optim import sm_update, sm_update_exact, sngd_precondition, stabilize
+from kronopt.optim import fp16_roundtrip, sm_update, sm_update_exact, sngd_precondition, stabilize
 
 from oracles import jacobi_eigenvalues, random_spd, sm_update_printed, sngd_dense_update
 
@@ -58,3 +60,10 @@ def test_one_stabilized_sm_update_stays_positive_definite(d, gamma, zeta, epsilo
     _, f_inv, v = _spd_inverse_and_vector(d, seed)
     out = sm_update(stabilize(f_inv, epsilon, zeta), v, gamma)
     assert jacobi_eigenvalues(out)[0] > 0.0
+
+
+def test_fp16_roundtrip_clamps_to_the_fp16_range_and_logs_the_count(caplog):
+    with caplog.at_level(logging.WARNING, logger="kronopt.optim"):
+        got = fp16_roundtrip(np.array([1e6, -7e4, 1.0]))
+    assert got.tolist() == [65504.0, -65504.0, 1.0]
+    assert caplog.messages == ["fp16 roundtrip clamped 2 entries"]

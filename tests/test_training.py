@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronopt
-from kronopt import cli, config, costs, harness, linalg, optim, training
+from kronopt import cli, config, costs, counters, harness, linalg, optim, training
 from kronopt.config import ExperimentConfig, load_config
 from kronopt.net import backward, forward
 from kronopt.optim import FactorState, KfacState
@@ -117,6 +117,30 @@ BAD_CONFIG_ARGS = {
     "decay_factor=1.5": ["--set", "decay_factor=1.5"],
     "window=0": ["--set", "window=0"],
     "seed<0": ["--seed", "-1"],
+    "optimizer=adam": ["--set", "optimizer=adam"],
+    "scheduler=cosine": ["--set", "scheduler=cosine"],
+    "gamma=0": ["--set", "gamma=0"],
+    "gamma=1": ["--set", "gamma=1"],
+    "zeta=0": ["--set", "zeta=0"],
+    "zeta=1.5": ["--set", "zeta=1.5"],
+    "lr=0": ["--set", "lr=0"],
+    "inversion_period<0": ["--set", "inversion_period=-1"],
+    "iterations=0": ["--set", "iterations=0"],
+    "batch=0": ["--set", "batch=0"],
+    "workers=0": ["--set", "workers=0"],
+    "net.dims-one-entry": ["--set", "net.dims=2"],
+    "net.dims-zero-entry": ["--set", "net.dims=2,0,1"],
+    "net.activation=gelu": ["--set", "net.activation=gelu"],
+    "loss=hinge": ["--set", "loss=hinge"],
+    "dataset.kind=spiral": ["--set", "dataset.kind=spiral"],
+    "sngd-workers=2": ["--set", "optimizer=sngd", "--set", "workers=2"],
+    "sngd-batch=65": ["--set", "optimizer=sngd", "--set", "batch=65"],
+    "idx-without-paths": ["--set", "dataset.kind=idx"],
+    "idx-missing-path": [
+        "--set", "dataset.kind=idx", "--set", "dataset.images=no-such-images.idx",
+        "--set", "dataset.labels=no-such-labels.idx",
+    ],
+    "set-without-equals": ["--set", "lr"],
 }
 
 
@@ -126,6 +150,32 @@ def test_bad_config_value_exits_2(tmp_path, no_training, capsys, verb, bad):
     args = [verb, "--out", str(tmp_path)] + (["--seed", "0"] if "--seed" not in bad else []) + bad
     assert cli.main(args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# The loader's own errors where a case brings its own seed or config file;
+# "{cfg}" names a file in the test's directory, written only when text is given.
+BAD_CONFIG_SOURCES = {
+    "no-seed": (None, [], "seed is mandatory (set `seed = ...` or pass --seed)"),
+    "missing-file": (None, ["--seed", "0", "--config", "{cfg}"], "config file not found: {cfg}"),
+    "line-without-equals": (
+        "lr 0.1\n", ["--seed", "0", "--config", "{cfg}"],
+        "line 1: expected `key = value`, got 'lr 0.1'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, args, message", list(BAD_CONFIG_SOURCES.values()), ids=list(BAD_CONFIG_SOURCES)
+)
+def test_bad_config_source_exits_2_with_its_message(
+    tmp_path, no_training, capsys, text, args, message
+):
+    cfg = tmp_path / "experiment.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    args = [arg.format(cfg=cfg) for arg in args]
+    assert cli.main(["train", "--out", str(tmp_path / "run"), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
 
 
 def _set_args(assignments) -> list[str]:
@@ -259,6 +309,21 @@ def test_half_precision_comm_trains_rank1_optimizers(tmp_path, optimizer):
     assert json.loads((tmp_path / "summary.json").read_text())["comm_bytes"] > 0
 
 
+# Nothing ships on one worker, so fp16 comm has nothing to round there.
+@pytest.mark.parametrize(
+    "sets", [["optimizer=mkor"], ["optimizer=mkor-h", "window=10"]], ids=["mkor", "mkor-h"]
+)
+def test_half_precision_comm_on_one_worker_trains_as_full_width(sets):
+    losses = [
+        run_training(load_config(
+            None, ["iterations=60", "inversion_period=5", *sets, f"half_precision_comm={half}"],
+            seed=0,
+        )).losses
+        for half in ("false", "true")
+    ]
+    assert losses[1] == losses[0]
+
+
 def _idx_images(n: int, rows: int, cols: int, pixels: bytes, magic: int = 0x803) -> bytes:
     return struct.pack(">IIII", magic, n, rows, cols) + pixels
 
@@ -267,6 +332,8 @@ def _idx_images(n: int, rows: int, cols: int, pixels: bytes, magic: int = 0x803)
 BAD_IDX_IMAGES = {
     "truncated": (_idx_images(5, 2, 2, bytes(3)), "expected 20 pixels, got 3"),
     "bad-magic": (_idx_images(5, 2, 2, bytes(20), magic=0x999), "bad IDX magic 0x00000999"),
+    "short-header": (struct.pack(">I", 0x803), "truncated IDX header"),
+    "no-dims": (struct.pack(">II", 0x803, 5), "truncated IDX image dims"),
 }
 
 
@@ -312,6 +379,36 @@ def test_swapped_idx_files_exit_2_naming_the_file_of_the_wrong_kind(tmp_path, ca
     out = tmp_path / "run"
     assert cli.main(_idx_train_args(out, labels, images)) == 2
     assert capsys.readouterr().err == f"config error: {labels}: holds IDX labels, expected images\n"
+    assert not out.exists()
+
+
+# (images file, labels file, message naming {images} or {labels})
+BAD_IDX_LABELS = {
+    "truncated": (
+        _idx_images(5, 1, 1, bytes(5)), struct.pack(">II", 0x801, 5) + bytes(3),
+        "{labels}: expected 5 labels, got 3",
+    ),
+    "count-mismatch": (
+        _idx_images(4, 1, 1, bytes(4)), _idx_labels(bytes(3)),
+        "{images} holds 4 images but {labels} 3 labels",
+    ),
+    "empty": (_idx_images(0, 1, 1, b""), _idx_labels(b""), "{labels} holds no labels"),
+}
+
+
+@pytest.mark.parametrize(
+    "images, labels, message", list(BAD_IDX_LABELS.values()), ids=list(BAD_IDX_LABELS)
+)
+def test_malformed_idx_labels_exit_2_naming_the_file(
+    tmp_path, monkeypatch, capsys, images, labels, message
+):
+    monkeypatch.setattr(training, "batch_slice", _no_training)
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    paths["images"].write_bytes(images)
+    paths["labels"].write_bytes(labels)
+    out = tmp_path / "run"
+    assert cli.main(_idx_train_args(out, paths["images"], paths["labels"])) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
     assert not out.exists()
 
 
@@ -423,6 +520,7 @@ BAD_PRUNE_ARGS = {
     "k-negative": ["--k", "-1"],
     "layer-too-high": ["--layer", "2"],
     "layer-negative": ["--layer", "-1"],
+    "not-rank1": ["--set", "optimizer=kfac"],
 }
 
 
@@ -586,6 +684,17 @@ def test_momentum_flops_land_in_weight_update(sets, switch_iteration, weight_upd
     assert result.switch_iteration == switch_iteration
     assert result.trace.flops["other"] == 0.0
     assert result.trace.flops["weight_update"] == weight_update
+
+
+def test_cost_csv_lists_each_counted_phase_once_with_its_summary_flops(tmp_path):
+    cfg = load_config(None, TINY_XOR + ["optimizer=kfac", "workers=2"], seed=0)
+    harness.run_experiment(cfg, str(tmp_path))
+    flops = json.loads((tmp_path / "summary.json").read_text())["flops"]
+    with open(tmp_path / "cost.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["optimizer", "phase", "d", "b", "workers", "flops"]
+    assert [row[1] for row in rows] == [p for p in counters.PHASES if p != "other"]
+    assert [float(row[5]) for row in rows] == [flops[row[1]] for row in rows]
 
 
 def test_kfac_inverts_once_per_layer_per_sync(monkeypatch):

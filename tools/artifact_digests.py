@@ -16,7 +16,7 @@ datasets (xor; 3-class gaussian blobs; a 16-dim random autoencoder under the
 knee scheduler):
 
 * {mkor, mkor-h (window=10), kfac, sgd} x workers {1, 4}, sngd, mkor with
-  half-precision comm at 4 workers and mkor with rank-1 profiling;
+  half-precision comm at 1 and 4 workers and mkor with rank-1 profiling;
 * xor under the step scheduler, with milestones that decay the lr at
   iterations 11 and 41;
 * xor with relu, sigmoid and identity hidden layers;
@@ -29,7 +29,7 @@ knee scheduler):
 * ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
   no config or seed.
 
-52 short runs; a few seconds on one core.
+55 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ RUNS = {
         for w in (1, 4)
     },
     "sngd": ("optimizer=sngd",),
+    "mkor-fp16-w1": ("optimizer=mkor", "half_precision_comm=true"),
     "mkor-fp16-w4": ("optimizer=mkor", "workers=4", "half_precision_comm=true"),
     "mkor-rank1": ("optimizer=mkor", "rank1_every=7"),
 }
