@@ -60,18 +60,21 @@ def analytic_cost(optimizer: str, d: int, b: int, half_precision: bool = False) 
     """Per-layer, per-sync costs of one optimizer at a d x d layer.
 
     Computation counts cover the second-order factor work only (the piece the
-    complexity table compares); preconditioning is reported separately since
-    every second-order method pays the same two dense products there.
+    complexity table compares); preconditioning is reported separately.  A
+    Kronecker-factored method preconditions in the cheaper of two forms
+    (``optim.precondition``): two dense d x d products, 2d^3, or three
+    products through the gradient's b batch columns, 3bd^2.
     """
     if d < 1 or b < 1:
         raise ValueError("d and b must be >= 1")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer tag {optimizer!r}")
+    kron_precondition = min(2 * d**3, 3 * b * d * d)
     # (factor-update flops, precondition flops, comm elements)
     if optimizer in RANK1_OPTIMIZERS or optimizer == "eva":
-        row = (d * d + b * d, 2 * d**3, 2 * d)
+        row = (d * d + b * d, kron_precondition, 2 * d)
     elif optimizer == "kfac":
-        row = (d**3, 2 * d**3, 4 * d * d)
+        row = (d**3, kron_precondition, 4 * d * d)
     elif optimizer == "sngd":
         row = (b**3, 2 * b * d * d, 2 * b * d + b * b)
     else:  # first-order rows: optimizer state only, no factor work or traffic

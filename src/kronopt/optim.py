@@ -10,6 +10,12 @@ Conventions shared by every step function:
     "never") and calls :func:`refresh_factors` or :func:`kfac_invert` on
     those iterations; the step functions only read the cached inverses,
     which precondition every step,
+  * :func:`precondition` (mkor, mkor-h and kfac) forms L^-1 W_grad R^-1 in
+    whichever form costs fewer flops for the layer: dense, 2oi(o + i) for an
+    o x i layer, or through the B batch columns the workers' mean gradient
+    is made of, 2B(o^2 + i^2 + oi) + oB.  The rank-B form weights a column
+    of worker w by 1/(W b_w) and forms A^T R^-1 as written, since KFAC's
+    inverses are not exactly symmetric,
   * weights update as W <- W - lr * delta; biases always take the raw
     first-order gradient.
 """
@@ -186,9 +192,37 @@ def sm_update_exact(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarra
     return symmetrize(add(scale(f_inv, 1.0 / gamma), scale(outer(u, u), coeff)))
 
 
-def precondition(l_inv, w_grad, r_inv) -> np.ndarray:
-    """L^-1 @ W_grad @ R^-1, evaluated left to right."""
-    return matmul(matmul(l_inv, w_grad), r_inv)
+def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
+    """L^-1 @ W_grad @ R^-1 for one o x i layer, in the form with fewer flops.
+
+    ``w_grad`` is the workers' mean gradient and ``captures`` holds the
+    layer's capture from each of the W workers.  Worker w's gradient is
+    (1/b_w) G_w A_w^T, so over the B = sum_w b_w concatenated batch columns
+    W_grad = G diag(c) A^T with c_j = 1/(W b_w) for a column of worker w
+    (shards of unequal size give unequal b_w).  The two forms:
+
+      dense   (L^-1 W_grad) R^-1                2oi(o + i) flops
+      rank-B  ((L^-1 G) diag(c)) (A^T R^-1)    2B(o^2 + i^2 + oi) + oB flops
+
+    The rank-B form is taken only when it costs strictly fewer flops.  It
+    forms A^T R^-1 as written, not as (R^-1 A)^T, because KFAC's inverses
+    from ``linalg.direct_inverse`` are not exactly symmetric.  It is the only
+    form that concatenates the captures, and only when W > 1.
+    """
+    o, i = w_grad.shape
+    batches = [cap.a_prev.shape[1] for cap in captures]
+    n = sum(batches)
+    if 2.0 * n * (o * o + i * i + o * i) + o * n >= 2.0 * o * i * (o + i):
+        return matmul(matmul(l_inv, w_grad), r_inv)
+    if len(captures) == 1:
+        g, a = captures[0].g, captures[0].a_prev
+    else:
+        g = np.concatenate([cap.g for cap in captures], axis=1)
+        a = np.concatenate([cap.a_prev for cap in captures], axis=1)
+    weights = np.concatenate([np.full(b, 1.0 / (len(batches) * b)) for b in batches])
+    left = matmul(l_inv, g) * weights
+    counters.add_flops(float(left.size))
+    return matmul(left, matmul(transpose(a), r_inv))
 
 
 def rescale(delta_hat: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -230,15 +264,18 @@ def mkor_step(
     net: NetworkState,
     states: list[FactorState],
     grads: list[np.ndarray],
+    worker_captures: list[list[LayerCapture]],
     bias_grads: list[np.ndarray | None],
     lr: float,
 ) -> None:
     """One optimizer iteration over all layers: precondition each gradient
-    with the layer's cached inverse factors, rescale it to the gradient's
-    norm and apply it.  The factors are only read here."""
+    (the mean over the workers whose per-layer captures are given) with the
+    layer's cached inverse factors, rescale it to the gradient's norm and
+    apply it.  The factors are only read here."""
     for idx, (st, grad) in enumerate(zip(states, grads)):
+        caps = [worker[idx] for worker in worker_captures]
         with counters.phase("precondition"):
-            delta = rescale(precondition(st.l_inv, grad, st.r_inv), grad)
+            delta = rescale(precondition(st.l_inv, grad, st.r_inv, caps), grad)
         _apply_update(net, idx, delta, bias_grads[idx], lr)
 
 

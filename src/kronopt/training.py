@@ -238,7 +238,9 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                     for l in range(len(specs)):
                         st = factor_states[w][l]
                         with counters.phase("precondition"):
-                            delta = precondition(st.l_inv, grads[l], st.r_inv)
+                            delta = precondition(
+                                st.l_inv, grads[l], st.r_inv, [caps[l] for caps in worker_caps]
+                            )
                         optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
             else:
                 if sync:
@@ -253,7 +255,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                                 a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
                             )
                 for w in range(n_workers):
-                    mkor_step(nets[w], factor_states[w], grads, bias_grads, lr_t)
+                    mkor_step(nets[w], factor_states[w], grads, worker_caps, bias_grads, lr_t)
 
             if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
                 rank1_records.extend(covariance_records(worker_caps[0], t))

@@ -1,11 +1,20 @@
 import logging
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kronopt import counters, linalg
 from kronopt.net import LayerCapture
-from kronopt.optim import fp16_roundtrip, sm_update, sm_update_exact, sngd_precondition, stabilize
+from kronopt.optim import (
+    fp16_roundtrip,
+    precondition,
+    sm_update,
+    sm_update_exact,
+    sngd_precondition,
+    stabilize,
+)
 
 from oracles import jacobi_eigenvalues, random_spd, sm_update_printed, sngd_dense_update
 
@@ -67,3 +76,73 @@ def test_fp16_roundtrip_clamps_to_the_fp16_range_and_logs_the_count(caplog):
         got = fp16_roundtrip(np.array([1e6, -7e4, 1.0]))
     assert got.tolist() == [65504.0, -65504.0, 1.0]
     assert caplog.messages == ["fp16 roundtrip clamped 2 entries"]
+
+
+def _dense_flops(o: int, i: int) -> float:
+    return 2.0 * o * i * (o + i)
+
+
+def _rank_b_flops(o: int, i: int, columns: int) -> float:
+    return 2.0 * columns * (o * o + i * i + o * i) + o * columns
+
+
+@st.composite
+def _layer_on_one_side(draw, form: str):
+    """An o x i layer, per-worker batch sizes (unequal when drawn so) whose
+    total puts ``optim.precondition`` in ``form``, and a seed."""
+    o, i = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    workers = draw(st.sampled_from((1, 4)))
+    # the most columns for which the rank-B form is strictly cheaper
+    limit = next(n for n in range(o * i + 1) if _rank_b_flops(o, i, n + 1) >= _dense_flops(o, i))
+    if form == "rank-B":
+        assume(limit >= workers)
+        total = draw(st.integers(workers, limit))
+    else:
+        total = draw(st.integers(max(limit + 1, workers), limit + 40))
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=workers - 1,
+                         max_size=workers - 1, unique=True)) if workers > 1 else []
+    batches = np.diff([0, *sorted(cuts), total]).tolist()
+    return o, i, batches, draw(st.integers(0, 2**32 - 1))
+
+
+def _worker_captures(o: int, i: int, batches, rng):
+    """Each worker's capture, with its gradient (1/b_w) g_w a_w^T as net.py keeps it."""
+    caps = []
+    for b in batches:
+        g, a = rng.standard_normal((o, b)), rng.standard_normal((i, b))
+        caps.append(LayerCapture(a_prev=a, g=g, w_grad=(g @ a.T) / b))
+    return caps
+
+
+@pytest.mark.parametrize("form", ["rank-B", "dense"])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_precondition_is_the_inverse_factors_times_the_workers_mean_gradient(form, data):
+    o, i, batches, seed = data.draw(_layer_on_one_side(form))
+    rng = np.random.default_rng(seed)
+    # direct_inverse's inverses are not exactly symmetric
+    l_inv = linalg.direct_inverse(random_spd(rng, o))
+    r_inv = linalg.direct_inverse(random_spd(rng, i))
+    caps = _worker_captures(o, i, batches, rng)
+    w = len(caps)
+    w_grad = sum(cap.w_grad for cap in caps) / w
+    mean_grad = sum((cap.g @ cap.a_prev.T) / (w * cap.a_prev.shape[1]) for cap in caps)
+    want = l_inv @ mean_grad @ r_inv
+    got = precondition(l_inv, w_grad, r_inv, caps)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("form", ["rank-B", "dense"])
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_precondition_counts_the_flops_of_its_cheaper_form(form, data):
+    o, i, batches, seed = data.draw(_layer_on_one_side(form))
+    rng = np.random.default_rng(seed)
+    caps = _worker_captures(o, i, batches, rng)
+    w_grad = sum(cap.w_grad for cap in caps) / len(caps)
+    tally = dict.fromkeys(counters.PHASES, 0.0)
+    with counters.recording(tally):
+        precondition(linalg.identity(o), w_grad, linalg.identity(i), caps)
+    want = _rank_b_flops(o, i, sum(batches)) if form == "rank-B" else _dense_flops(o, i)
+    assert tally["other"] == want
+    assert want == min(_rank_b_flops(o, i, sum(batches)), _dense_flops(o, i))

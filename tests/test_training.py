@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -769,3 +770,42 @@ def test_sweep_cells_match_run_experiment(tmp_path, base, axis, values):
             assert (swept / name).read_bytes() == (single / name).read_bytes(), (value, name)
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert list(csv.reader(fh)) == want_rows
+
+
+# Shards of 3, 3, 2 and 2 samples: each worker's batch is its whole shard, so
+# preconditioning must weight each worker's columns by its own batch size.
+def test_kfac_on_unequal_shards_ends_where_the_dense_precondition_did():
+    cfg = load_config(None, [
+        "optimizer=kfac", "dataset.kind=random-autoencoder", "dataset.dim=32",
+        "net.dims=32,32,32", "dataset.n=10", "workers=4", "batch=32", "iterations=20",
+        "inversion_period=1", "lr=0.01",
+    ], seed=0)
+    assert sorted(s.n for s in training.shard_dataset(build_dataset(cfg), 4, 0)) == [2, 2, 3, 3]
+    # the final loss of the dense form, before the rank-B form existed
+    assert run_training(cfg).losses[-1] == pytest.approx(117.83705092656459, rel=1e-10, abs=0)
+
+
+def _flops_on_one_square_layer(optimizer: str, d: int, phases) -> float:
+    cfg = load_config(None, [
+        f"optimizer={optimizer}", "dataset.kind=random-autoencoder", f"dataset.dim={d}",
+        f"net.dims={d},{d}", "dataset.n=256", "batch=8", "iterations=4", "inversion_period=1",
+    ], seed=0)
+    flops = run_training(cfg).trace.flops
+    return sum(flops[phase] for phase in phases)
+
+
+def _slope_in_d(optimizer: str, phases) -> float:
+    return math.log2(
+        _flops_on_one_square_layer(optimizer, 64, phases)
+        / _flops_on_one_square_layer(optimizer, 32, phases)
+    )
+
+
+# The complexity claim as exponents: MKOR's second-order work is quadratic in
+# the layer width, KFAC's inversion cubic.
+def test_mkor_second_order_flops_grow_quadratically_in_d():
+    assert _slope_in_d("mkor", ("factor_update", "precondition")) <= 2.1
+
+
+def test_kfac_inversion_flops_grow_cubically_in_d():
+    assert _slope_in_d("kfac", ("inversion",)) >= 2.9

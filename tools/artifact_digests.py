@@ -2,12 +2,15 @@
 """Print ``cell artifact sha256`` for a fixed set of kronopt runs.
 
 A refactor counts as behaviour-preserving only when its artifacts are
-byte-identical to those of the code it replaces.  Run this once against each
-tree and diff the two listings:
+byte-identical to those of the code it replaces.  The listing for ``src`` is
+committed as ``tests/artifact_digests.txt`` and a tier-1 test reruns this
+tool against it; to compare two trees by hand, diff their listings:
 
     python3 tools/artifact_digests.py --src OLD/src > old.txt
     python3 tools/artifact_digests.py --src src > new.txt
     diff old.txt new.txt
+
+The first line names the Python and numpy versions the listing was made with.
 
 ``--src`` names the directory that holds the ``kronopt`` package.  Every run
 goes through ``kronopt.cli.main``, so every verb's output is digested.  The
@@ -17,6 +20,9 @@ knee scheduler):
 
 * {mkor, mkor-h (window=10), kfac, sgd} x workers {1, 4}, sngd, mkor with
   half-precision comm at 1 and 4 workers and mkor with rank-1 profiling;
+* {mkor, kfac} x workers {1, 4} on a 32-wide random autoencoder at batch 8:
+  at one worker (8 gradient columns) ``optim.precondition`` takes its rank-B
+  form, at four (32 columns) its dense form;
 * xor under the step scheduler, with milestones that decay the lr at
   iterations 11 and 41;
 * xor with relu, sigmoid and identity hidden layers;
@@ -29,7 +35,7 @@ knee scheduler):
 * ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
   no config or seed.
 
-55 short runs; a few seconds on one core.
+59 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 
@@ -55,6 +62,12 @@ DATASETS = {
         "dataset.n=128", "batch=16", "lr=0.01", "scheduler=knee",
     ),
 }
+
+# 32 wide, so that the rank-B precondition form is cheaper at batch 8
+WIDE = (
+    "dataset.kind=random-autoencoder", "dataset.dim=32", "net.dims=32,32,32",
+    "dataset.n=128", "batch=8", "lr=0.01",
+)
 
 RUNS = {
     **{
@@ -102,6 +115,11 @@ def commands(config_path: str) -> dict[str, list[str]]:
     for ds, ds_sets in DATASETS.items():
         for run, run_sets in RUNS.items():
             cmds[f"{ds}/{run}"] = ["train", "--seed", "0", *_sets(COMMON + ds_sets + run_sets)]
+    for opt in ("mkor", "kfac"):
+        for w in (1, 4):
+            cmds[f"ae32/{opt}-w{w}"] = [
+                "train", "--seed", "0", *_sets(COMMON + WIDE + (f"optimizer={opt}", f"workers={w}")),
+            ]
     cmds["xor/step"] = ["train", "--seed", "0", *_sets(COMMON + STEP_SCHEDULE)]
     for act in ("relu", "sigmoid", "identity"):
         cmds[f"xor/{act}"] = ["train", "--seed", "0", *_sets(COMMON + (f"net.activation={act}",))]
@@ -129,8 +147,10 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the kronopt package")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    import numpy
     from kronopt import cli
 
+    print(f"# python {platform.python_version()} numpy {numpy.__version__}")
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "experiment.cfg")
         with open(config_path, "w") as fh:
