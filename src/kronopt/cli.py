@@ -18,11 +18,10 @@ import numpy as np
 
 from . import analysis, costs, linalg
 from .config import ConfigError, load_config
-from .harness import SWEEP_AXES, run_experiment, sweep
+from .harness import run_experiment, sweep, write_json
 from .linalg import SingularMatrix
-from .net import backward, forward
 from .optim import sm_update_exact
-from .prune import greedy_prune, prune_and_measure, save_mask
+from .prune import prune_and_measure, save_mask
 from .training import build_dataset, run_training
 
 
@@ -52,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     _add_experiment(p)
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--grid", action="append", required=True, metavar="KEY=V1;V2;...",
+                   help="config key values, repeatable: every combination runs as one "
+                   "cell; d sets net.dims and dataset.dim together")
 
     p = sub.add_parser("cost-report")
     _add_out(p)
@@ -86,10 +86,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    rows = sweep(cfg, args.axis, values, args.out)
-    for row in rows:
-        print(row)
+    for record in sweep(cfg, args.grid, args.out):
+        print(f"{record['cell']}: final loss {record['final_loss']:.6g}")
+    print(f"artifacts in {args.out}")
     return 0
 
 
@@ -106,9 +105,7 @@ def _cmd_cost_report(args) -> int:
             f"memory_elements={rep.memory_elements:.3g}"
         )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "analytic_cost.json"), "w") as fh:
-        json.dump([rep.__dict__ for rep in rows], fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "analytic_cost.json"), [rep.__dict__ for rep in rows])
     return 0
 
 
@@ -144,16 +141,13 @@ def _cmd_prune(args) -> int:
         raise ConfigError("prune reuses the rank-1 optimizer's factors; set optimizer=mkor")
     layer, tile = _prune_target(args, cfg)
     result = run_training(cfg)
-    net, states = result.net, result.states
     ds = build_dataset(cfg)
-    x, y = ds.x, ds.y
-    out, trace = forward(net, x)
-    _, caps = backward(net, trace, y, cfg.loss)
     # score with the factors themselves: re-invert the stored inverses
-    left = linalg.direct_inverse(states[layer].l_inv)
-    right = linalg.direct_inverse(states[layer].r_inv)
-    mask = greedy_prune(net.weights[layer], caps[layer].w_grad, left, right, args.k, tile=tile)
-    true_delta, predicted = prune_and_measure(net, x, y, cfg.loss, layer, mask, left, right)
+    left = linalg.direct_inverse(result.states[layer].l_inv)
+    right = linalg.direct_inverse(result.states[layer].r_inv)
+    mask, true_delta, predicted = prune_and_measure(
+        result.net, ds.x, ds.y, cfg.loss, layer, left, right, args.k, tile
+    )
     os.makedirs(args.out, exist_ok=True)
     save_mask(mask, os.path.join(args.out, f"layer{layer}.mask"))
     report = {
@@ -164,9 +158,7 @@ def _cmd_prune(args) -> int:
         "true_loss_delta": true_delta,
         "predicted_loss_delta": predicted,
     }
-    with open(os.path.join(args.out, "prune_report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "prune_report.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -208,9 +200,7 @@ def _cmd_verify_lemmas(args) -> int:
         f"{report['sm_discrepancy']['final_abs_difference']:.3g} (documented, not asserted)"
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "lemma_report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "lemma_report.json"), report, default=float)
     return 0 if ok else 3
 
 

@@ -92,29 +92,24 @@ def greedy_prune(
 
 
 def prune_and_measure(
-    net: NetworkState,
-    x,
-    targets,
-    loss: str,
-    layer: int,
-    mask: PruneMask,
-    left,
-    right,
-) -> tuple[float, float]:
-    """Apply the mask to one layer and report (true_loss_delta,
-    predicted_delta) on the given batch."""
+    net: NetworkState, x, targets, loss: str, layer: int, left, right, k: int,
+    tile: tuple[int, int] | None = None,
+) -> tuple[PruneMask, float, float]:
+    """Greedily prune k units of one layer, scored with the gradient on the
+    given batch, and report (mask, true_loss_delta, predicted_delta) there."""
     out, trace = forward(net, x)
     base = loss_value(out, targets, loss)
     _, caps = backward(net, trace, targets, loss)
     grad = caps[layer].w_grad
     w0 = net.weights[layer]
+    mask = greedy_prune(w0, grad, left, right, k, tile=tile)
     delta_w = np.where(mask.keep, 0.0, -w0)
     predicted = taylor_predicted_loss(base, delta_w, grad, left, right) - base
     pruned = net.copy()
     pruned.weights[layer] = w0 * mask.keep
     out2, _ = forward(pruned, x)
     true_delta = loss_value(out2, targets, loss) - base
-    return true_delta, predicted
+    return mask, true_delta, predicted
 
 
 MASK_HEADER = b"KRONOPT-MASK v1\n"

@@ -119,10 +119,8 @@ def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
         raise type(exc)(f"iteration {t}, layer {layer}, phase {phase}: {exc}") from exc
 
 
-def run_training(cfg: ExperimentConfig) -> RunResult:
-    """Run the configured experiment; returns losses, worker 0's final net and
-    factor states, and the instrumentation trace."""
-    cfg.validate()
+def load_shards(cfg: ExperimentConfig) -> list[Dataset]:
+    """The dataset split over the workers, checked to fit net.dims and workers."""
     ds = build_dataset(cfg)
     rows = (ds.x.shape[0], ds.y.shape[0])
     if rows != (cfg.net_dims[0], cfg.net_dims[-1]):
@@ -132,8 +130,14 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         )
     if cfg.workers > ds.n:
         raise ConfigError(f"workers={cfg.workers} exceeds the dataset's {ds.n} samples")
-    shards = shard_dataset(ds, cfg.workers, cfg.seed)
-    del ds  # the shards hold every sample; one copy is enough
+    return shard_dataset(ds, cfg.workers, cfg.seed)
+
+
+def run_training(cfg: ExperimentConfig) -> RunResult:
+    """Run the configured experiment; returns losses, worker 0's final net and
+    factor states, and the instrumentation trace."""
+    cfg.validate()
+    shards = load_shards(cfg)
 
     n_workers = cfg.workers
     rng = linalg.make_rng(cfg.seed)

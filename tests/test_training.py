@@ -32,7 +32,10 @@ def _expected_prune_report(cfg, layer: int, k: int) -> dict:
     left = linalg.direct_inverse(states[layer].l_inv)
     right = linalg.direct_inverse(states[layer].r_inv)
     mask = greedy_prune(net.weights[layer], caps[layer].w_grad, left, right, k)
-    true_delta, predicted = prune_and_measure(net, ds.x, ds.y, cfg.loss, layer, mask, left, right)
+    measured_mask, true_delta, predicted = prune_and_measure(
+        net, ds.x, ds.y, cfg.loss, layer, left, right, k
+    )
+    assert np.array_equal(measured_mask.keep, mask.keep)
     return {
         "layer": layer,
         "k": k,
@@ -555,12 +558,22 @@ def test_artifacts_are_a_function_of_config_and_seed(tmp_path, optimizer, worker
     assert json.loads(outputs[0]["summary.json"])["workers_identical"] is True
 
 
-# Each of these once ran cells or ended in a traceback; the sweep must refuse
-# before any cell runs and leave no output behind.
+# Each of these once ran cells, left a cell's directory behind or ended in a
+# traceback; the sweep must refuse before any cell runs and leave no output.
 BAD_SWEEP_ARGS = {
-    "value-not-a-number": (["--axis", "lr", "--values", "0.1,abc"], "lr: could not convert"),
-    "no-values": (["--axis", "lr", "--values", ","], "lists no values"),
-    "d-without-autoencoder": (["--axis", "d", "--values", "4,8"], "dataset.kind=random-autoencoder"),
+    "value-not-a-number": (["--grid", "lr=0.1;abc"], "lr: could not convert"),
+    "no-values": (["--grid", "lr=;"], "lists no values"),
+    "d-without-autoencoder": (["--grid", "d=4;8"], "dataset.kind=random-autoencoder"),
+    # the default XOR dataset has 4 samples and 2 input rows
+    "second-cell-workers": (["--grid", "workers=1;5"], "workers=5 exceeds the dataset's 4 samples"),
+    "second-cell-net-dims": (["--grid", "net.dims=2,8,1;3,8,1"], "net.dims 3,8,1 do not fit"),
+    "repeated-key": (["--grid", "lr=0.1", "--grid", "lr=0.2"], "grid key lr is given twice"),
+    "d-with-net-dims": (
+        ["--set", "dataset.kind=random-autoencoder", "--grid", "d=4", "--grid", "net.dims=4,4"],
+        "give neither beside it",
+    ),
+    "value-with-slash": (["--grid", "lr=0.1;a/b"], "holds no '/'"),
+    "item-without-equals": (["--grid", "lr"], "grid item 'lr' is not KEY=V1;V2;..."),
 }
 
 
@@ -607,9 +620,9 @@ def test_bad_cost_report_size_exits_2(tmp_path, capsys, bad):
     [["cost-report", "--seed", "0"], ["verify-lemmas", "--seed", "0"],
      ["cost-report", "--set", "lr=1"], ["verify-lemmas", "--config", "x.cfg"],
      ["rank1-profile", "--seed", "0"], ["train", "--seed", "0", "--timing"],
-     ["cost-report", "--measured"]],
+     ["cost-report", "--measured"], ["sweep", "--seed", "0", "--axis", "lr", "--values", "0.1"]],
     ids=["cost-report-seed", "verify-lemmas-seed", "cost-report-set", "verify-lemmas-config",
-         "rank1-profile", "train-timing", "cost-report-measured"],
+         "rank1-profile", "train-timing", "cost-report-measured", "sweep-axis-values"],
 )
 def test_parser_rejects_removed_verbs_and_flags(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -739,37 +752,43 @@ TINY_AE = [
 ]
 
 
+def _cell_overrides(key: str, value: str) -> list[str]:
+    """The --set items that put one grid key at ``value`` in a single run."""
+    if key == "d":
+        return [f"net.dims={value},{value},{value}", f"dataset.dim={value}"]
+    return [f"{key}={value}"]
+
+
 @pytest.mark.parametrize(
-    "base, axis, values",
+    "base, grid, cells",
     [
-        (TINY_XOR, "lr", ["0.05", "0.2"]),
-        (TINY_XOR, "workers", ["1", "2"]),
-        (TINY_XOR, "inversion_period", ["0", "4"]),
-        (TINY_AE, "d", ["4", "8"]),
+        (TINY_XOR, ["lr=0.05;0.2"], ["lr_0.05", "lr_0.2"]),
+        (TINY_XOR, ["workers=1;2"], ["workers_1", "workers_2"]),
+        (TINY_XOR, ["inversion_period=0;4"], ["inversion_period_0", "inversion_period_4"]),
+        (TINY_AE, ["d=4;8"], ["d_4", "d_8"]),
+        (
+            TINY_XOR, ["optimizer=mkor;kfac", "seed=0;1"],
+            ["optimizer_mkor+seed_0", "optimizer_mkor+seed_1",
+             "optimizer_kfac+seed_0", "optimizer_kfac+seed_1"],
+        ),
     ],
-    ids=["lr", "workers", "inversion_period", "d"],
+    ids=["lr", "workers", "inversion_period", "d", "optimizer-x-seed"],
 )
-def test_sweep_cells_match_run_experiment(tmp_path, base, axis, values):
+def test_sweep_cells_match_run_experiment(tmp_path, base, grid, cells):
     cfg = load_config(None, base, seed=0)
-    harness.sweep(cfg, axis, values, str(tmp_path / "sweep"))
-    want_rows = [["axis", "value", "final_loss", "comm_elements",
-                  "flops_factor_update", "flops_precondition"]]
-    for value in values:
-        cell = [f"{axis}={value}"] if axis != "d" else [
-            f"net.dims={value},{value},{value}", f"dataset.dim={value}"
-        ]
-        single = tmp_path / "single" / value
-        result = harness.run_experiment(load_config(None, base + cell, seed=0), str(single))
-        flops = result.trace.flops
-        want_rows.append([
-            axis, value, repr(result.losses[-1]), repr(result.trace.comm_elements),
-            repr(flops["factor_update"] + flops["inversion"]), repr(flops["precondition"]),
-        ])
-        swept = tmp_path / "sweep" / f"{axis}_{value}"
+    harness.sweep(cfg, grid, str(tmp_path / "sweep"))
+    records = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert [record["cell"] for record in records] == cells
+    for cell, record in zip(cells, records):
+        point = {key: value for key, _, value in (part.rpartition("_") for part in cell.split("+"))}
+        overrides = [item for key, value in point.items() for item in _cell_overrides(key, value)]
+        single = tmp_path / "single" / cell
+        harness.run_experiment(load_config(None, ["seed=0", *base, *overrides]), str(single))
+        swept = tmp_path / "sweep" / cell
         for name in ("loss.csv", "cost.csv", "summary.json", "model.ckpt"):
-            assert (swept / name).read_bytes() == (single / name).read_bytes(), (value, name)
-    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
-        assert list(csv.reader(fh)) == want_rows
+            assert (swept / name).read_bytes() == (single / name).read_bytes(), (cell, name)
+        want = {**json.loads((swept / "summary.json").read_text()), "cell": cell, "grid": point}
+        assert record == want
 
 
 # Shards of 3, 3, 2 and 2 samples: each worker's batch is its whole shard, so

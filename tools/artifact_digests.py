@@ -31,11 +31,13 @@ knee scheduler):
   tuple key and ``dataset.*`` keys;
 * ``prune --seed 0`` on the default config, by element and by 2x2 tile
   (``--tile 2x2 --k 2``);
-* ``sweep`` over each of its four axes;
+* ``sweep`` over each of lr, workers, inversion_period and d (one
+  ``--grid`` key each), and over optimizer {mkor, kfac} x seed {0, 1} on
+  xor (two ``--grid`` keys, four cells);
 * ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
   no config or seed.
 
-59 short runs; a few seconds on one core.
+63 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -95,12 +97,13 @@ batch = 16
 lr = 0.01
 """
 
-# (cell name, dataset, axis, values)
+# (cell name, dataset, --grid items)
 SWEEPS = (
-    ("sweep-lr", "xor", "lr", "0.05,0.2"),
-    ("sweep-workers", "xor", "workers", "1,2,4"),
-    ("sweep-inversion_period", "xor", "inversion_period", "0,3"),
-    ("sweep-d", "ae", "d", "8,12"),
+    ("sweep-lr", "xor", ("lr=0.05;0.2",)),
+    ("sweep-workers", "xor", ("workers=1;2;4",)),
+    ("sweep-inversion_period", "xor", ("inversion_period=0;3",)),
+    ("sweep-d", "ae", ("d=8;12",)),
+    ("sweep-grid", "xor", ("optimizer=mkor;kfac", "seed=0;1")),
 )
 
 
@@ -127,9 +130,9 @@ def commands(config_path: str) -> dict[str, list[str]]:
     cmds["config-file"] = ["train", "--seed", "0", "--config", config_path, *_sets(COMMON)]
     cmds["prune"] = ["prune", "--seed", "0"]
     cmds["prune-tile"] = ["prune", "--seed", "0", "--tile", "2x2", "--k", "2"]
-    for name, ds, axis, values in SWEEPS:
+    for name, ds, grid in SWEEPS:
         cmds[name] = [
-            "sweep", "--seed", "0", "--axis", axis, "--values", values,
+            "sweep", "--seed", "0", *(arg for item in grid for arg in ("--grid", item)),
             *_sets(COMMON + DATASETS[ds]),
         ]
     cmds["cost-report"] = ["cost-report", "--d", "64", "--b", "8"]
