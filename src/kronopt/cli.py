@@ -22,7 +22,7 @@ from .harness import run_experiment, sweep, write_json
 from .linalg import SingularMatrix
 from .optim import sm_update_exact
 from .prune import prune_and_measure, save_mask
-from .training import build_dataset, run_training
+from .training import run_training
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -141,7 +141,7 @@ def _cmd_prune(args) -> int:
         raise ConfigError("prune reuses the rank-1 optimizer's factors; set optimizer=mkor")
     layer, tile = _prune_target(args, cfg)
     result = run_training(cfg)
-    ds = build_dataset(cfg)
+    ds = result.dataset
     # score with the factors themselves: re-invert the stored inverses
     left = linalg.direct_inverse(result.states[layer].l_inv)
     right = linalg.direct_inverse(result.states[layer].r_inv)

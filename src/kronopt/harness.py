@@ -16,7 +16,7 @@ from dataclasses import replace
 from .config import ConfigError, ExperimentConfig, apply_assignment, config_as_dict
 from .costs import cost_csv_rows
 from .net import save_checkpoint
-from .training import RunResult, load_shards, run_training
+from .training import RunResult, build_dataset, run_training
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -98,6 +98,8 @@ def _grid_axes(grid: list[str]) -> dict[str, list[str]]:
             raise ConfigError(f"grid key {key} is given twice")
         if not values:
             raise ConfigError(f"grid key {key} lists no values")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"grid key {key} lists a value twice")
         if any("/" in v for v in values):
             raise ConfigError(f"grid key {key}: a value names a directory, so it holds no '/'")
         axes[key] = values
@@ -118,7 +120,7 @@ def _cell_config(cfg: ExperimentConfig, point: dict[str, str]) -> ExperimentConf
             raise ConfigError("grid key d needs dataset.kind=random-autoencoder")
         apply_assignment(cell, "net.dims", ",".join([point["d"]] * len(cell.net_dims)))
         apply_assignment(cell, "dataset.dim", point["d"])
-    load_shards(cell.validate())
+    build_dataset(cell.validate())
     return cell
 
 

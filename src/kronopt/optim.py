@@ -10,6 +10,9 @@ Conventions shared by every step function:
     "never") and calls :func:`refresh_factors` or :func:`kfac_invert` on
     those iterations; the step functions only read the cached inverses,
     which precondition every step,
+  * state equal on every worker is held once: one FactorState per layer,
+    one SgdState applied to every replica; a KfacState is one worker's
+    covariances, which :func:`kfac_invert` inverts into a FactorState,
   * :func:`precondition` (mkor, mkor-h and kfac) forms L^-1 W_grad R^-1 in
     whichever form costs fewer flops for the layer: dense, 2oi(o + i) for an
     o x i layer, or through the B batch columns the workers' mean gradient
@@ -67,19 +70,14 @@ class FactorState:
 
 @dataclass
 class KfacState:
+    """One worker's covariance factors of one layer."""
+
     l_cov: np.ndarray
     r_cov: np.ndarray
-    l_inv: np.ndarray
-    r_inv: np.ndarray
 
     @classmethod
     def identity_init(cls, out_dim: int, in_dim: int) -> "KfacState":
-        return cls(
-            l_cov=identity(out_dim),
-            r_cov=identity(in_dim),
-            l_inv=identity(out_dim),
-            r_inv=identity(in_dim),
-        )
+        return cls(l_cov=identity(out_dim), r_cov=identity(in_dim))
 
 
 @dataclass
@@ -289,13 +287,13 @@ def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> No
         state.r_cov = add(scale(state.r_cov, gamma), scale(r_new, 1.0 - gamma))
 
 
-def kfac_invert(state: KfacState, damping: float) -> None:
-    """Invert the damped factors and cache the results."""
+def kfac_invert(state: FactorState, cov: KfacState, damping: float) -> None:
+    """Invert the damped covariance factors into ``state``'s inverses."""
     with counters.phase("inversion"):
-        eye_l = identity(state.l_cov.shape[0])
-        eye_r = identity(state.r_cov.shape[0])
-        state.l_inv = linalg.direct_inverse(add(state.l_cov, scale(eye_l, damping)))
-        state.r_inv = linalg.direct_inverse(add(state.r_cov, scale(eye_r, damping)))
+        eye_l = identity(cov.l_cov.shape[0])
+        eye_r = identity(cov.r_cov.shape[0])
+        state.l_inv = linalg.direct_inverse(add(cov.l_cov, scale(eye_l, damping)))
+        state.r_inv = linalg.direct_inverse(add(cov.r_cov, scale(eye_r, damping)))
 
 
 def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarray]:
@@ -341,25 +339,25 @@ def _heavy_ball(vel: np.ndarray, grad: np.ndarray, momentum: float) -> np.ndarra
 
 
 def sgd_momentum_step(
-    net: NetworkState,
+    nets: list[NetworkState],
     grads: list[np.ndarray],
     lr: float,
     momentum: float,
     state: SgdState,
     bias_grads: list[np.ndarray | None],
 ) -> None:
-    """Heavy-ball update: v <- momentum*v + grad; W <- W - lr*v."""
+    """Heavy-ball update: v <- momentum*v + grad once; W <- W - lr*v per replica."""
+    biases = nets[0].biases
     if not state.velocities:
-        state.velocities = [np.zeros_like(w) for w in net.weights]
-        state.bias_velocities = [
-            None if b is None else np.zeros_like(b) for b in net.biases
-        ]
+        state.velocities = [np.zeros_like(w) for w in nets[0].weights]
+        state.bias_velocities = [None if b is None else np.zeros_like(b) for b in biases]
     for idx, (grad, bg) in enumerate(zip(grads, bias_grads)):
         with counters.phase("weight_update"):
             vel = _heavy_ball(state.velocities[idx], grad, momentum)
-            if bg is not None and net.biases[idx] is not None:
+            if bg is not None and biases[idx] is not None:
                 bg = _heavy_ball(state.bias_velocities[idx], bg, momentum)
-        _apply_update(net, idx, vel, bg, lr)
+        for net in nets:
+            _apply_update(net, idx, vel, bg, lr)
 
 
 def mkorh_maybe_switch(h: HybridState, loss_t: float) -> HybridState:

@@ -19,13 +19,16 @@ sees.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
-broadcasts the inverses.  These collectives tally what they ship in the
-run's RunTrace through ``RunTrace.ship``, and nothing ships on one worker
-(sngd's only setting).  Under half_precision_comm the rank-1 vectors are
-rounded through fp16 only when they ship, so one worker trains exactly as
-without it.  Weight gradients are averaged as ambient data-parallel
-traffic and are not counted, matching the complexity-table accounting where
-first-order rows communicate nothing.
+broadcasts the inverses.  State equal on every worker (each layer's factors,
+the momentum velocities) exists once per run and is written once per step;
+a worker holds only its weight replica and its KFAC covariances.  The
+collectives tally what they ship in the run's RunTrace through
+``RunTrace.ship``, and nothing ships on one worker (sngd's only setting).
+Under half_precision_comm the rank-1 vectors are rounded through fp16 only
+when they ship, so one worker trains exactly as without it.  Weight
+gradients are averaged as ambient data-parallel traffic and are not
+counted, matching the complexity-table accounting where first-order rows
+communicate nothing.
 """
 
 from __future__ import annotations
@@ -60,32 +63,43 @@ from .optim import (
 )
 from .sched import KneePointState, knee_point_update, step_decay
 
-STATE_TYPES = {"mkor": FactorState, "mkor-h": FactorState, "kfac": KfacState}
-
 
 @dataclass
 class RunResult:
-    """What one run leaves behind.  ``net`` and ``states`` are worker 0's
-    final weights and per-layer factor states (FactorState for mkor/mkor-h,
-    KfacState for kfac, empty for sgd/sngd)."""
+    """What one run leaves behind.  ``net`` is worker 0's final weights,
+    ``dataset`` the unsharded data it trained on and ``states`` the run's one
+    list of layer factors, held once since every worker reads the same ones
+    (FactorState for mkor, mkor-h and kfac, empty for sgd/sngd)."""
 
     losses: list[float]
     lrs: list[float]
     net: NetworkState
     trace: RunTrace
+    dataset: Dataset
     workers_identical: bool = True
     switch_iteration: int | None = None
     rank1_records: list[Rank1ErrorRecord] = field(default_factory=list)
-    states: list[FactorState | KfacState] = field(default_factory=list)
+    states: list[FactorState] = field(default_factory=list)
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The configured dataset, checked to fit net.dims and workers."""
     if cfg.dataset_kind == "idx":
         try:
-            return idx_dataset(cfg.dataset_images, cfg.dataset_labels)
+            ds = idx_dataset(cfg.dataset_images, cfg.dataset_labels)
         except (OSError, ValueError) as exc:  # a malformed or unreadable file is a config error
             raise ConfigError(str(exc)) from exc
-    return synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
+    else:
+        ds = synth_dataset(cfg.dataset_kind, cfg.dataset_n, cfg.seed, **cfg.dataset_params)
+    rows = (ds.x.shape[0], ds.y.shape[0])
+    if rows != (cfg.net_dims[0], cfg.net_dims[-1]):
+        raise ConfigError(
+            f"net.dims {','.join(map(str, cfg.net_dims))} do not fit the dataset: "
+            f"it has {rows[0]} input rows and {rows[1]} target rows"
+        )
+    if cfg.workers > ds.n:
+        raise ConfigError(f"workers={cfg.workers} exceeds the dataset's {ds.n} samples")
+    return ds
 
 
 def _mean_over_workers(arrays) -> np.ndarray:
@@ -119,25 +133,12 @@ def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
         raise type(exc)(f"iteration {t}, layer {layer}, phase {phase}: {exc}") from exc
 
 
-def load_shards(cfg: ExperimentConfig) -> list[Dataset]:
-    """The dataset split over the workers, checked to fit net.dims and workers."""
-    ds = build_dataset(cfg)
-    rows = (ds.x.shape[0], ds.y.shape[0])
-    if rows != (cfg.net_dims[0], cfg.net_dims[-1]):
-        raise ConfigError(
-            f"net.dims {','.join(map(str, cfg.net_dims))} do not fit the dataset: "
-            f"it has {rows[0]} input rows and {rows[1]} target rows"
-        )
-    if cfg.workers > ds.n:
-        raise ConfigError(f"workers={cfg.workers} exceeds the dataset's {ds.n} samples")
-    return shard_dataset(ds, cfg.workers, cfg.seed)
-
-
 def run_training(cfg: ExperimentConfig) -> RunResult:
-    """Run the configured experiment; returns losses, worker 0's final net and
-    factor states, and the instrumentation trace."""
+    """Run the configured experiment; returns losses, worker 0's final net,
+    the run's layer factors and the instrumentation trace."""
     cfg.validate()
-    shards = load_shards(cfg)
+    dataset = build_dataset(cfg)
+    shards = shard_dataset(dataset, cfg.workers, cfg.seed)
 
     n_workers = cfg.workers
     rng = linalg.make_rng(cfg.seed)
@@ -146,12 +147,11 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
     nets = [base_net] + [base_net.copy() for _ in range(n_workers - 1)]
 
     opt = cfg.optimizer
-    state_type = STATE_TYPES.get(opt)
-    factor_states = [
-        [state_type.identity_init(s.out_dim, s.in_dim) for s in specs] if state_type else []
-        for _ in range(n_workers)
-    ]
-    sgd_states = [SgdState() for _ in range(n_workers)]
+    factors = [FactorState.identity_init(s.out_dim, s.in_dim) for s in specs] \
+        if opt in ("mkor", "mkor-h", "kfac") else []
+    covs = [[KfacState.identity_init(s.out_dim, s.in_dim) for s in specs]
+            for _ in range(n_workers)] if opt == "kfac" else []
+    velocity = SgdState()
     hybrid = HybridState(window=cfg.window, switch_ratio=cfg.switch_ratio) \
         if opt == "mkor-h" else None
     knee = KneePointState(lr=cfg.lr, beta=cfg.beta, decay_factor=cfg.decay_factor) \
@@ -213,34 +213,28 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             trace.sync_events += sync
 
             if first_order:
-                for w in range(n_workers):
-                    sgd_momentum_step(
-                        nets[w], grads, lr_t, cfg.momentum, sgd_states[w], bias_grads
-                    )
+                sgd_momentum_step(nets, grads, lr_t, cfg.momentum, velocity, bias_grads)
             elif opt == "sngd":
                 sngd_step(nets[0], worker_caps[0], cfg.damping, lr_t)
             elif opt == "kfac":
                 for w in range(n_workers):
                     for l in range(len(specs)):
-                        kfac_accumulate(factor_states[w][l], worker_caps[w][l], cfg.gamma)
+                        kfac_accumulate(covs[w][l], worker_caps[w][l], cfg.gamma)
                 if sync:
-                    # replicas share the reduced arrays: nothing writes a factor in place
                     for l in range(len(specs)):
-                        replicas = [factor_states[w][l] for w in range(n_workers)]
-                        lead = replicas[0]
                         if n_workers > 1:  # one worker has nothing to reduce
                             with counters.phase("factor_update"):
-                                l_cov = _allreduce([st.l_cov for st in replicas], trace)
-                                r_cov = _allreduce([st.r_cov for st in replicas], trace)
-                            for st in replicas:
-                                st.l_cov, st.r_cov = l_cov, r_cov
-                        _write_factors(t, l, "inversion", kfac_invert, lead, cfg.damping)
-                        trace.ship(lead.l_inv.size + lead.r_inv.size)  # worker 0 broadcasts
-                        for st in replicas[1:]:
-                            st.l_inv, st.r_inv = lead.l_inv, lead.r_inv
+                                l_cov = _allreduce([cov[l].l_cov for cov in covs], trace)
+                                r_cov = _allreduce([cov[l].r_cov for cov in covs], trace)
+                            # workers share the reduced arrays: nothing writes them in place
+                            for cov in covs:
+                                cov[l].l_cov, cov[l].r_cov = l_cov, r_cov
+                        _write_factors(
+                            t, l, "inversion", kfac_invert, factors[l], covs[0][l], cfg.damping
+                        )
+                        trace.ship(factors[l].l_inv.size + factors[l].r_inv.size)  # broadcast
                 for w in range(n_workers):
-                    for l in range(len(specs)):
-                        st = factor_states[w][l]
+                    for l, st in enumerate(factors):
                         with counters.phase("precondition"):
                             delta = precondition(
                                 st.l_inv, grads[l], st.r_inv, [caps[l] for caps in worker_caps]
@@ -253,13 +247,12 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
                             a_bar = _allreduce(a_bars, trace, cfg.half_precision_comm)
                             g_bar = _allreduce(g_bars, trace, cfg.half_precision_comm)
-                        for w in range(n_workers):
-                            _write_factors(
-                                t, l, "factor_update", refresh_factors, factor_states[w][l],
-                                a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
-                            )
+                        _write_factors(
+                            t, l, "factor_update", refresh_factors, factors[l],
+                            a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
+                        )
                 for w in range(n_workers):
-                    mkor_step(nets[w], factor_states[w], grads, worker_caps, bias_grads, lr_t)
+                    mkor_step(nets[w], factors, grads, worker_caps, bias_grads, lr_t)
 
             if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
                 rank1_records.extend(covariance_records(worker_caps[0], t))
@@ -274,8 +267,9 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         lrs=lrs,
         net=nets[0],
         trace=trace,
+        dataset=dataset,
         workers_identical=workers_identical,
         switch_iteration=switch_iteration,
         rank1_records=rank1_records,
-        states=factor_states[0],
+        states=factors,
     )

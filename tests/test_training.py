@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import kronopt
 from kronopt import cli, config, costs, counters, harness, linalg, optim, training
 from kronopt.config import ExperimentConfig, load_config
 from kronopt.net import backward, forward
-from kronopt.optim import FactorState, KfacState
+from kronopt.optim import FactorState
 from kronopt.prune import greedy_prune, prune_and_measure, taylor_predicted_loss
 from kronopt.training import build_dataset, run_training
 from oracles import dense_kron_quadratic, random_spd
@@ -65,6 +66,20 @@ def test_prune_scores_the_trained_network(tmp_path, overrides):
     assert got == want
 
 
+# prune scores the network on the data it trained on, not on a second read
+def test_prune_builds_its_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    synth = training.synth_dataset
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(training, "synth_dataset", counted)
+    assert cli.main(["prune", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     rows=st.integers(1, 4), cols=st.integers(1, 4),
@@ -83,9 +98,10 @@ def test_pruning_surrogate_matches_the_dense_quadratic(rows, cols, loss0, seed):
 
 @pytest.mark.parametrize(
     "optimizer, state_type",
-    [("mkor", FactorState), ("mkor-h", FactorState), ("kfac", KfacState), ("sgd", None), ("sngd", None)],
+    [("mkor", FactorState), ("mkor-h", FactorState), ("kfac", FactorState), ("sgd", None), ("sngd", None)],
 )
 def test_run_result_carries_worker0_states(optimizer, state_type):
+    """The run's one list of layer factors, which every worker reads."""
     cfg = load_config(None, [f"optimizer={optimizer}", "iterations=3"], seed=0)
     states = run_training(cfg).states
     if state_type is None:
@@ -574,6 +590,7 @@ BAD_SWEEP_ARGS = {
     ),
     "value-with-slash": (["--grid", "lr=0.1;a/b"], "holds no '/'"),
     "item-without-equals": (["--grid", "lr"], "grid item 'lr' is not KEY=V1;V2;..."),
+    "repeated-value": (["--grid", "lr=0.1;0.1"], "grid key lr lists a value twice"),
 }
 
 
@@ -711,19 +728,49 @@ def test_cost_csv_lists_each_counted_phase_once_with_its_summary_flops(tmp_path)
     assert [float(row[5]) for row in rows] == [flops[row[1]] for row in rows]
 
 
-def test_kfac_inverts_once_per_layer_per_sync(monkeypatch):
+# Factors are equal on every worker, so each layer's are written once per
+# sync whatever the worker count.
+@pytest.mark.parametrize(
+    "optimizer, write", [("kfac", "kfac_invert"), ("mkor", "refresh_factors")], ids=["kfac", "mkor"]
+)
+def test_factors_are_written_once_per_layer_per_sync(monkeypatch, optimizer, write):
     calls = []
-    invert = training.kfac_invert
+    original = getattr(training, write)
 
-    def counted(state, damping):
+    def counted(state, *args):
         calls.append(state)
-        invert(state, damping)
+        original(state, *args)
 
-    monkeypatch.setattr(training, "kfac_invert", counted)
-    cfg = load_config(None, SQUARE_AE + ["optimizer=kfac", "workers=4"], seed=0)
+    monkeypatch.setattr(training, write, counted)
+    cfg = load_config(None, SQUARE_AE + [f"optimizer={optimizer}", "workers=4"], seed=0)
     result = run_training(cfg)
     assert len(calls) == len(cfg.layer_specs()) * result.trace.sync_events == 8
+    assert {id(st) for st in calls} == {id(st) for st in result.states}
     assert result.workers_identical
+
+
+def test_kfac_run_is_the_same_inside_the_benchmark_tracer(tmp_path, monkeypatch):
+    """The benchmark wraps training's functions from outside (its kfac_invert
+    hook reads the written inverses); a traced run trains and writes the same."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "kronbench_tracing", os.path.join(root, "kronbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    cfg = load_config(None, SQUARE_AE + ["optimizer=kfac", "workers=2"], seed=0)
+    plain = harness.run_experiment(cfg, str(tmp_path / "plain"))
+    with tracing.Tracer() as tracer:
+        traced = harness.run_experiment(cfg, str(tmp_path / "traced"))
+    assert traced.losses == plain.losses
+    for name in ARTIFACTS + ("cost.csv",):
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    layers = len(cfg.layer_specs())
+    assert tracer.spans["optim.kfac_invert"].calls == layers * plain.trace.sync_events
+    assert tracer.spans["optim.precondition"].calls > 0
+    assert tracer.factor_inv_norm_max > 0.0
+    assert training.kfac_invert is optim.kfac_invert  # the tracer restored it
 
 
 def test_numerical_guard_survives_python_O():
