@@ -113,22 +113,30 @@ def idx_dataset(images_path: str, labels_path: str) -> Dataset:
     return Dataset(x=x, y=y)
 
 
-def shard_dataset(ds: Dataset, n_workers: int, seed: int) -> list[Dataset]:
-    """Deterministic round-robin split after a seeded shuffle (1 <= n_workers <= ds.n)."""
+@dataclass
+class Shard:
+    """One worker's samples: column indices into the run's one dataset."""
+
+    data: Dataset
+    idx: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.idx.shape[0]
+
+
+def shard_dataset(ds: Dataset, n_workers: int, seed: int) -> list[Shard]:
+    """Deterministic round-robin split after a seeded shuffle (1 <= n_workers <= ds.n).
+    Shards index into ``ds``; none copies its columns."""
     perm = linalg.make_rng(seed).permutation(ds.n)
-    shards = []
-    for w in range(n_workers):
-        idx = perm[w::n_workers]
-        shards.append(
-            Dataset(x=np.ascontiguousarray(ds.x[:, idx]), y=np.ascontiguousarray(ds.y[:, idx]))
-        )
-    return shards
+    return [Shard(ds, perm[w::n_workers]) for w in range(n_workers)]
 
 
-def batch_slice(shard: Dataset, iteration: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic contiguous batch for a 1-based iteration index."""
+def batch_slice(shard: Shard, iteration: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic contiguous batch of the shard's samples for a 1-based iteration
+    index, gathered from the dataset's columns."""
     n = shard.n
     b = min(batch, n)
     start = ((iteration - 1) * b) % n
-    idx = (start + np.arange(b)) % n
-    return shard.x[:, idx], shard.y[:, idx]
+    cols = shard.idx[(start + np.arange(b)) % n]
+    return shard.data.x[:, cols], shard.data.y[:, cols]

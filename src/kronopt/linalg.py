@@ -2,15 +2,18 @@
 
 This is the only numeric substrate the rest of the package uses.  Matrices
 are 2-D C-contiguous float64 arrays (row-major), vectors are 1-D float64
-arrays.  Summation-order sensitive kernels (``matmul``, ``mean_columns``)
-accumulate in a fixed order, ascending over the contracted index, so their
-results are bit-identical to a scalar triple loop with the same order.
+arrays.  The summation-order sensitive kernels are pinned: ``matmul`` (through
+numpy's einsum loop) and ``mean_columns`` accumulate in a fixed order,
+ascending over the contracted index, so their results are bit-identical to a
+scalar triple loop with the same order.  ``matvec`` and ``dot`` go through
+BLAS; they repeat bit for bit at a fixed BLAS thread count, and the benchmark
+runs them at one thread.
 Inverse and factorization routines are written here rather than delegated to
 LAPACK so that pivoting and failure behavior are fully pinned down; the test
 suite checks them against independent oracles.
 
 No sparse formats, no complex numbers, no BLAS bindings beyond numpy's
-elementwise kernels and small-vector dot products.
+elementwise kernels, einsum and small-vector dot products.
 """
 
 from __future__ import annotations
@@ -68,9 +71,18 @@ def identity(n: int) -> np.ndarray:
 def matmul(a, b) -> np.ndarray:
     """Matrix product with pinned summation order.
 
-    Entry (i, j) accumulates a[i, k] * b[k, j] for k ascending, one rounded
-    multiply and one rounded add per term, exactly like the scalar triple
-    loop with the inner loop over k.
+    Entry (i, j) accumulates a[i, k] * b[k, j] into a zero for k ascending,
+    one rounded multiply and one rounded add per term, exactly like the
+    scalar triple loop with the inner loop over k.
+
+    numpy's einsum (``optimize=False``, so no BLAS) keeps that order when b
+    has at least two columns: its iterator makes j, the contiguous axis of b
+    and of the output, the inner loop, and adds each term into the output for
+    k ascending.  With one column the contraction itself becomes the inner
+    loop, which einsum sums with SIMD partial sums, so b gets a zero column
+    appended and column 0 is returned.  The loop fuses no multiply-add on a
+    build whose SIMD baseline lacks FMA, as the pinned numpy 2.4.6 (X86_V2
+    baseline) does; a test fails if a build fuses.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -78,13 +90,11 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
-    tmp = np.empty((m, n), dtype=np.float64)
-    for j in range(k):
-        np.multiply(a[:, j : j + 1], b[j : j + 1, :], out=tmp)
-        np.add(out, tmp, out=out)
+    if n == 1:
+        b = np.concatenate([b, np.zeros_like(b)], axis=1)
+    out = np.einsum("ik,kj->ij", a, b, optimize=False)
     counters.add_flops(2.0 * m * n * k)
-    return out
+    return out if n > 1 else out[:, :1].copy()
 
 
 def matvec(m, v) -> np.ndarray:

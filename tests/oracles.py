@@ -24,6 +24,20 @@ def matmul_loops(a, b):
     return np.array(out)
 
 
+def matmul_columns(a, b):
+    """Column loop with the triple loop's order: one broadcast multiply and one
+    add per contracted index, ascending.  Fast enough for workload shapes,
+    where ``matmul_loops`` is not."""
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n), dtype=np.float64)
+    tmp = np.empty((m, n), dtype=np.float64)
+    for j in range(k):
+        np.multiply(a[:, j : j + 1], b[j : j + 1, :], out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def mean_columns_loops(m):
     rows, cols = m.shape
     out = []

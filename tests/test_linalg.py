@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kronopt import linalg
 from kronopt.linalg import (
@@ -16,7 +19,14 @@ from kronopt.linalg import (
     power_iteration_extremes,
 )
 
-from oracles import jacobi_eigenvalues, matmul_loops, mean_columns_loops, rank_via_minors, random_spd
+from oracles import (
+    jacobi_eigenvalues,
+    matmul_columns,
+    matmul_loops,
+    mean_columns_loops,
+    rank_via_minors,
+    random_spd,
+)
 
 # An overflow inside an oracle would otherwise scroll past as a warning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -50,6 +60,52 @@ class TestMatmul:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+    # x*y = 1 - 2**-60 rounds to 1, so -1*1 + x*y is 0 with a rounded multiply
+    # and -2**-60 under a fused multiply-add.
+    def test_no_fused_multiply_add(self):
+        x, y = 1.0 + 2.0**-30, 1.0 - 2.0**-30
+        got = matmul(np.array([[-1.0, x]]), np.array([[1.0, 1.0], [y, y]]))
+        assert np.array_equal(got, np.zeros((1, 2))), (
+            f"numpy {np.__version__}: einsum's loop fuses multiply-add on this build "
+            f"(got {got.tolist()}), so matmul no longer matches the triple loop"
+        )
+
+    @pytest.mark.parametrize("m,k,n", [
+        (256, 256, 32), (256, 32, 256), (32, 256, 256), (128, 128, 128), (256, 256, 1),
+    ])
+    def test_workload_shapes_match_the_column_loop_bitwise(self, m, k, n):
+        rng = make_rng(m * 7 + k * 3 + n)
+        a = rng.standard_normal((m, k)) * np.exp(rng.uniform(-9.0, 9.0, (m, k)))
+        b = rng.standard_normal((k, n)) * np.exp(rng.uniform(-9.0, 9.0, (k, n)))
+        assert matmul(a, b).tobytes() == matmul_columns(a, b).tobytes()
+
+
+# Entries up to 1e150 keep every sum of up to 12 products below 1.8e308, so no
+# draw overflows; the strategy reaches subnormals and signed zeros.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-150, 1e150]),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _operands(draw):
+    m, k, n = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a = draw(arrays(np.float64, (m, k), elements=_ENTRY))
+    b = draw(arrays(np.float64, (k, n), elements=_ENTRY))
+    return a, b
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(operands=_operands())
+# m = 1, k = 1 and n = 1 (the zero-column route), each with extreme entries
+@example(operands=(np.array([[1.0, -0.0, 3e-320]]), np.array([[2.0, 1.0], [-0.0, 5.0], [1e150, -1e-150]])))
+@example(operands=(np.array([[1e150], [-0.0], [2.5]]), np.array([[1e-150, -0.0, 7.0]])))
+@example(operands=(np.array([[0.1, 0.2, 0.3], [-0.0, 5e-324, 1e150]]), np.array([[0.3], [0.2], [0.1]])))
+def test_matmul_matches_the_triple_loop_byte_for_byte(operands):
+    a, b = operands
+    assert matmul(a, b).tobytes() == matmul_loops(a, b).tobytes()
 
 
 class TestOuter:
