@@ -222,8 +222,9 @@ def lemma1_chain(
         f = stabilize(f, epsilon_norm, zeta)
         f = sm_update(f, rng.standard_normal(d), gamma)
         if t % check_every == 0:
-            chol = linalg.cholesky(f)
-            if chol is None:
-                raise NumericalError(f"PD lost at step {t} (d={d})")
+            try:
+                chol = linalg.cholesky(f)
+            except linalg.SingularMatrix as exc:
+                raise NumericalError(f"PD lost at step {t} (d={d})") from exc
             min_diag = min(min_diag, float(np.min(np.diag(chol))))
     return {"d": d, "steps": steps, "min_cholesky_diag": float(min_diag)}

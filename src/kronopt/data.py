@@ -66,7 +66,7 @@ def synth_dataset(kind: str, n: int, seed: int, **params) -> Dataset:
         latent = rng.standard_normal((rank, n))
         center = offset * rng.standard_normal(dim)
         x = mixing @ latent + center[:, None] + noise * rng.standard_normal((dim, n))
-        return Dataset(x=x, y=x.copy())
+        return Dataset(x=x, y=x)
     raise ValueError(f"unknown synthetic dataset {kind!r}")
 
 

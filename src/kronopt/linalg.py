@@ -8,12 +8,15 @@ ascending over the contracted index, so their results are bit-identical to a
 scalar triple loop with the same order.  ``matvec`` and ``dot`` go through
 BLAS; they repeat bit for bit at a fixed BLAS thread count, and the benchmark
 runs them at one thread.
-Inverse and factorization routines are written here rather than delegated to
-LAPACK so that pivoting and failure behavior are fully pinned down; the test
-suite checks them against independent oracles.
+
+The one inverse, ``direct_inverse``, takes symmetric positive-definite input
+through ``cholesky``, and its final X^T X through ``matmul`` is exactly
+symmetric.  The factor and the substitution use BLAS gemv, which repeats bit
+for bit at one thread; writing them here pins their failure down to one named
+column.  The test suite checks both against independent oracles.
 
 No sparse formats, no complex numbers, no BLAS bindings beyond numpy's
-elementwise kernels, einsum and small-vector dot products.
+elementwise kernels, einsum, matrix-vector and dot products.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ class SingularMatrix(LinalgError):
 class NumericalError(AssertionError):
     """A numerical guarantee failed.  Raised explicitly, so ``python -O`` keeps
     it; an AssertionError, so callers that map those to exit code 3 map it too."""
-
-
-# Relative pivot threshold: pivots below this times the input magnitude are
-# treated as exact zeros.  Chosen so condition numbers up to ~1e8 still invert.
-_PIVOT_RTOL = 1e-13
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -178,55 +176,44 @@ def mean_columns(m) -> np.ndarray:
 
 
 def direct_inverse(m) -> np.ndarray:
-    """Dense inverse via Gauss-Jordan elimination with partial pivoting.
+    """Inverse of a symmetric positive-definite matrix, itself exactly symmetric.
 
-    Raises :class:`SingularMatrix` when a pivot falls below the relative
-    threshold.  For condition numbers up to ~1e8 the residual satisfies
-    ||m @ inv - I||_inf <= 1e-8 * n.
+    With M = C C^T from :func:`cholesky`, M^-1 = X^T X for X = C^-1, which
+    forward substitution builds one row at a time.  Counted as n^3/3 for the
+    factor, n^3/3 for the substitution and 2n^3 for X^T X.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionMismatch(f"direct_inverse: non-square {m.shape}")
-    base = float(np.max(np.abs(m)))
-    if base == 0.0:
-        raise SingularMatrix("zero matrix")
-    aug = np.concatenate([m, np.eye(n)], axis=1)
-    tmp = np.empty_like(aug)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= _PIVOT_RTOL * base:
-            raise SingularMatrix(f"pivot {aug[piv, col]:.3e} at column {col}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        factors = aug[:, col].copy()
-        factors[col] = 0.0
-        np.multiply(factors[:, None], aug[col][None, :], out=tmp)
-        np.subtract(aug, tmp, out=aug)
-    counters.add_flops(4.0 * n * n * n)
-    return np.ascontiguousarray(aug[:, n:])
+    c = cholesky(m)
+    n = c.shape[0]
+    x = np.zeros_like(c)
+    for i in range(n):
+        x[i, :i] = -(c[i, :i] @ x[:i, :i]) / c[i, i]
+        x[i, i] = 1.0 / c[i, i]
+    counters.add_flops(n * n * n / 3.0)
+    return matmul(transpose(x), x)
 
 
-def cholesky(m) -> np.ndarray | None:
-    """Lower-triangular C with C @ C.T ~= (M + M.T)/2, or None if not PD.
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular C with C @ C.T ~= M for an exactly symmetric M.
 
-    Input is symmetrized first; failure (non-positive or non-finite diagonal
-    during factorization) means "not positive-definite within tolerance".
+    Asymmetric input raises :class:`LinalgError` rather than being
+    symmetrized.  A non-positive or non-finite pivot means "not
+    positive-definite within tolerance" and raises :class:`SingularMatrix`
+    naming the pivot and its column.
     """
     m = as_matrix(m)
     n = m.shape[0]
     if m.shape[1] != n:
         raise DimensionMismatch(f"cholesky: non-square {m.shape}")
-    s = symmetrize(m)
-    c = np.zeros_like(s)
+    if not np.array_equal(m, m.T, equal_nan=True):  # a NaN fails as a pivot below
+        raise LinalgError("cholesky: input is not exactly symmetric")
+    c = np.zeros_like(m)
     for j in range(n):
-        d = s[j, j] - float(np.dot(c[j, :j], c[j, :j]))
+        d = m[j, j] - float(np.dot(c[j, :j], c[j, :j]))
         if not np.isfinite(d) or d <= 0.0:
-            return None
+            raise SingularMatrix(f"not positive-definite: pivot {d:.3e} at column {j}")
         c[j, j] = np.sqrt(d)
         if j + 1 < n:
-            c[j + 1 :, j] = (s[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / c[j, j]
+            c[j + 1 :, j] = (m[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / c[j, j]
     counters.add_flops(n * n * n / 3.0)
     return c
 
@@ -263,7 +250,7 @@ def power_iteration_extremes(m, iters: int = 200) -> tuple[float, float]:
     lambda_max comes from power iteration on m; lambda_min from power
     iteration on direct_inverse(m + delta*I) with shift
     delta = 1e-12 * max(||m||_inf, 1e-30), corrected by subtracting delta.
-    If the shifted matrix is still singular, lambda_min is reported as 0.
+    If the shifted matrix is not positive-definite, lambda_min is reported as 0.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -274,7 +261,7 @@ def power_iteration_extremes(m, iters: int = 200) -> tuple[float, float]:
         inv = direct_inverse(m + delta * np.eye(m.shape[0]))
     except SingularMatrix:
         return lam_max, 0.0
-    mu, _ = power_iteration(symmetrize(inv), iters)
+    mu, _ = power_iteration(inv, iters)
     if mu <= 0.0:
         return lam_max, 0.0
     return lam_max, 1.0 / mu - delta

@@ -17,8 +17,7 @@ Conventions shared by every step function:
     whichever form costs fewer flops for the layer: dense, 2oi(o + i) for an
     o x i layer, or through the B batch columns the workers' mean gradient
     is made of, 2B(o^2 + i^2 + oi) + oB.  The rank-B form weights a column
-    of worker w by 1/(W b_w) and forms A^T R^-1 as written, since KFAC's
-    inverses are not exactly symmetric,
+    of worker w by 1/(W b_w),
   * weights update as W <- W - lr * delta; biases always take the raw
     first-order gradient.
 """
@@ -202,10 +201,8 @@ def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
       dense   (L^-1 W_grad) R^-1                2oi(o + i) flops
       rank-B  ((L^-1 G) diag(c)) (A^T R^-1)    2B(o^2 + i^2 + oi) + oB flops
 
-    The rank-B form is taken only when it costs strictly fewer flops.  It
-    forms A^T R^-1 as written, not as (R^-1 A)^T, because KFAC's inverses
-    from ``linalg.direct_inverse`` are not exactly symmetric.  It is the only
-    form that concatenates the captures, and only when W > 1.
+    The rank-B form is taken only when it costs strictly fewer flops.  It is
+    the only form that concatenates the captures, and only when W > 1.
     """
     o, i = w_grad.shape
     batches = [cap.a_prev.shape[1] for cap in captures]
@@ -225,10 +222,15 @@ def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
 
 def rescale(delta_hat: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Scale the preconditioned update so its Frobenius norm matches the raw
-    gradient's; degenerate (near-zero) updates fall back to the gradient."""
+    gradient's; degenerate (near-zero) updates fall back to the gradient.  A
+    norm that is not finite raises NumericalError: scaling by ||grad||/inf
+    would apply an all-zero update."""
     if delta_hat.shape != grad.shape:
         raise linalg.DimensionMismatch(f"rescale: {delta_hat.shape} vs {grad.shape}")
-    nd = linalg.frobenius_norm(delta_hat)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        nd = linalg.frobenius_norm(delta_hat)
+    if not np.isfinite(nd):
+        raise NumericalError("preconditioned update norm is not finite")
     if nd < 1e-30:
         return grad
     return scale(delta_hat, linalg.frobenius_norm(grad) / nd)
@@ -259,22 +261,16 @@ def refresh_factors(
 
 
 def mkor_step(
-    net: NetworkState,
-    states: list[FactorState],
-    grads: list[np.ndarray],
-    worker_captures: list[list[LayerCapture]],
-    bias_grads: list[np.ndarray | None],
-    lr: float,
+    net: NetworkState, idx: int, st: FactorState, grad: np.ndarray,
+    captures: list[LayerCapture], bias_grad: np.ndarray | None, lr: float,
 ) -> None:
-    """One optimizer iteration over all layers: precondition each gradient
-    (the mean over the workers whose per-layer captures are given) with the
-    layer's cached inverse factors, rescale it to the gradient's norm and
-    apply it.  The factors are only read here."""
-    for idx, (st, grad) in enumerate(zip(states, grads)):
-        caps = [worker[idx] for worker in worker_captures]
-        with counters.phase("precondition"):
-            delta = rescale(precondition(st.l_inv, grad, st.r_inv, caps), grad)
-        _apply_update(net, idx, delta, bias_grads[idx], lr)
+    """One optimizer step of layer ``idx``: precondition its gradient (the
+    mean over the workers whose captures are given) with the layer's cached
+    inverse factors, rescale it to the gradient's norm and apply it.  The
+    factors are only read here."""
+    with counters.phase("precondition"):
+        delta = rescale(precondition(st.l_inv, grad, st.r_inv, captures), grad)
+    _apply_update(net, idx, delta, bias_grad, lr)
 
 
 def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> None:

@@ -11,11 +11,12 @@ switched to first order.  Only the sync step writes inverse factors; cached
 inverses precondition every step.
 
 Failures: every factor write goes through ``_write_factors``, which fails a
-write that leaves an inverse non-finite and prefixes ``iteration T, layer L,
-phase P:`` to any SingularMatrix or NumericalError.  A non-finite loss raises
-NumericalError naming the iteration.  The factor write and forward/backward
-run with numpy's overflow warnings off, so the named error is all the user
-sees.
+write that leaves an inverse non-finite; it and mkor's precondition step
+prefix ``iteration T, layer L, phase P:`` to any SingularMatrix or
+NumericalError, through ``_named``.  A non-finite loss raises
+NumericalError naming the iteration.  The factor write, forward/backward and
+the update norm in ``optim.rescale`` run with numpy's overflow warnings off,
+so the named error is all the user sees.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,17 +122,25 @@ def _allreduce(arrays, trace: RunTrace, half_precision: bool = False) -> np.ndar
     return _mean_over_workers(arrays)
 
 
+@contextmanager
+def _named(t: int, layer: int, phase: str):
+    """Re-raise a SingularMatrix or NumericalError from the block prefixed
+    with ``iteration T, layer L, phase P:``."""
+    try:
+        yield
+    except (linalg.SingularMatrix, linalg.NumericalError) as exc:
+        raise type(exc)(f"iteration {t}, layer {layer}, phase {phase}: {exc}") from exc
+
+
 def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
     """Call ``write(st, *args)``, which rewrites ``st``'s inverse factors.  A
     failure, or an inverse left non-finite (checked in plain numpy, so no
-    flops are counted), is raised naming the iteration, layer and phase."""
-    try:
+    flops are counted), is raised named by :func:`_named`."""
+    with _named(t, layer, phase):
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
             write(st, *args)
         if not (np.isfinite(st.l_inv).all() and np.isfinite(st.r_inv).all()):
             raise linalg.NumericalError("inverse factor is not finite")
-    except (linalg.SingularMatrix, linalg.NumericalError) as exc:
-        raise type(exc)(f"iteration {t}, layer {layer}, phase {phase}: {exc}") from exc
 
 
 def run_training(cfg: ExperimentConfig) -> RunResult:
@@ -252,7 +262,12 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
                         )
                 for w in range(n_workers):
-                    mkor_step(nets[w], factors, grads, worker_caps, bias_grads, lr_t)
+                    for l, st in enumerate(factors):
+                        with _named(t, l, "precondition"):
+                            mkor_step(
+                                nets[w], l, st, grads[l], [caps[l] for caps in worker_caps],
+                                bias_grads[l], lr_t,
+                            )
 
             if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
                 rank1_records.extend(covariance_records(worker_caps[0], t))

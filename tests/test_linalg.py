@@ -150,8 +150,9 @@ class TestDirectInverse:
 
     def test_singular_raises(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix) as exc:
             direct_inverse(m)
+        assert str(exc.value) == "not positive-definite: pivot 0.000e+00 at column 1"
 
     def test_zero_raises(self):
         with pytest.raises(SingularMatrix):
@@ -159,8 +160,43 @@ class TestDirectInverse:
 
     def test_matches_numpy(self):
         rng = make_rng(13)
-        m = rng.standard_normal((10, 10)) + 5 * np.eye(10)
+        x = rng.standard_normal((10, 10))
+        m = x @ x.T + 5 * np.eye(10)
         assert np.allclose(direct_inverse(m), np.linalg.inv(m), atol=1e-10)
+
+    def test_rejects_input_that_is_not_exactly_symmetric(self):
+        m = np.array([[2.0, 1.0], [np.nextafter(1.0, 2.0), 2.0]])  # one ulp off
+        with pytest.raises(linalg.LinalgError, match="^cholesky: input is not exactly symmetric$"):
+            direct_inverse(m)
+
+
+@st.composite
+def _spd_with_condition(draw):
+    """(M, eigenvalues, condition number): M = Q diag(lam) Q^T, made exactly
+    symmetric, with lam log-spaced over [1, cond] and Q a random orthogonal."""
+    n = draw(st.integers(1, 32))
+    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.geomspace(1.0, cond, n)
+    m = (q * lam) @ q.T
+    return (m + m.T) / 2, lam, cond
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_spd_with_condition())
+def test_spd_inverse_is_exactly_symmetric_and_agrees_with_numpy_and_jacobi(case):
+    m, lam, cond = case
+    inv = direct_inverse(m)
+    assert np.array_equal(inv, inv.T)
+    # forward error of an inverse grows as cond * eps; 1e-14 is about 45 eps
+    tol = 1e-14 * cond
+    want = np.linalg.inv(m)
+    assert np.max(np.abs(inv - want)) <= tol * np.max(np.abs(want))
+    # Weyl: each eigenvalue moves by at most ||error||_2 <= n * max|error|,
+    # and the largest eigenvalue of the inverse is 1/lam[0] = 1
+    eig = jacobi_eigenvalues(inv)
+    assert np.max(np.abs(eig - np.sort(1.0 / lam))) <= len(lam) * tol
 
 
 class TestCholesky:
@@ -173,7 +209,9 @@ class TestCholesky:
         assert np.allclose(c, want, atol=1e-15)
 
     def test_negative_definite_fails(self):
-        assert cholesky(-np.eye(3)) is None
+        with pytest.raises(SingularMatrix) as exc:
+            cholesky(-np.eye(3))
+        assert str(exc.value) == "not positive-definite: pivot -1.000e+00 at column 0"
 
     def test_reconstruction(self):
         rng = make_rng(17)
@@ -189,8 +227,10 @@ class TestCholesky:
             eigs = jacobi_eigenvalues(base)
             shift_pd = base + (abs(eigs[0]) + 0.1) * np.eye(d)
             shift_nd = base - (eigs[-1] + 0.1) * np.eye(d)
-            assert cholesky(shift_pd) is not None
-            assert cholesky(shift_nd) is None
+            cholesky(shift_pd)
+            # every diagonal entry of a negative-definite matrix is negative
+            with pytest.raises(SingularMatrix, match=r"at column 0$"):
+                cholesky(shift_nd)
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatch):

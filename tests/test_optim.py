@@ -120,7 +120,6 @@ def _worker_captures(o: int, i: int, batches, rng):
 def test_precondition_is_the_inverse_factors_times_the_workers_mean_gradient(form, data):
     o, i, batches, seed = data.draw(_layer_on_one_side(form))
     rng = np.random.default_rng(seed)
-    # direct_inverse's inverses are not exactly symmetric
     l_inv = linalg.direct_inverse(random_spd(rng, o))
     r_inv = linalg.direct_inverse(random_spd(rng, i))
     caps = _worker_captures(o, i, batches, rng)

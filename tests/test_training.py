@@ -432,7 +432,9 @@ def test_malformed_idx_labels_exit_2_naming_the_file(
     assert not out.exists()
 
 
-def test_kfac_pivot_failure_names_iteration_layer_and_phase(tmp_path, capsys):
+# The damped covariance reaches entries near 1.2e16 and a smallest eigenvalue
+# of -2.6 here; the Cholesky factor meets a negative pivot at column 29.
+def test_kfac_positive_definite_failure_names_iteration_layer_and_phase(tmp_path, capsys):
     out = tmp_path / "run"
     sets = [
         "optimizer=kfac", "damping=1e-4", "dataset.kind=random-autoencoder", "dataset.dim=32",
@@ -441,7 +443,8 @@ def test_kfac_pivot_failure_names_iteration_layer_and_phase(tmp_path, capsys):
     ]
     assert cli.main(["train", "--seed", "0", "--out", str(out), *_set_args(sets)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: iteration 20, layer 0, phase inversion: pivot -9.451e-01 at column 24\n"
+        "numerical failure: iteration 25, layer 0, phase inversion: "
+        "not positive-definite: pivot -4.000e+00 at column 29\n"
     )
     assert not out.exists()
 
@@ -499,6 +502,14 @@ DIVERGED_SGD = [
     "net.dims=32,32", "net.activation=identity", "dataset.n=64", "iterations=60",
 ]
 
+# ROADMAP item 6's printed period-1 row: from layer-step 472 on, the
+# preconditioned update's norm overflows, and rescaling by ||G||/inf would
+# apply an all-zero update.
+ZERO_STEP_MKOR = [
+    "dataset.kind=random-autoencoder", "dataset.dim=32", "net.dims=32,16,32", "dataset.n=512",
+    "lr=0.03", "inversion_period=1", "iterations=400",
+]
+
 
 # A guarded failure reaches the user as its named error alone: the overflow
 # behind it raises no numpy warning first.
@@ -508,8 +519,10 @@ DIVERGED_SGD = [
         (DIVERGED_SGD, "loss is inf at iteration 38"),
         (["iterations=6000"],
          "iteration 4770, layer 1, phase factor_update: inverse factor is not finite"),
+        (ZERO_STEP_MKOR,
+         "iteration 236, layer 1, phase precondition: preconditioned update norm is not finite"),
     ],
-    ids=["diverged-sgd", "xor-6000"],
+    ids=["diverged-sgd", "xor-6000", "mkor-zero-step"],
 )
 def test_guarded_failures_raise_no_numpy_warning(sets, message):
     with warnings.catch_warnings():
@@ -836,6 +849,12 @@ def test_sweep_cells_match_run_experiment(tmp_path, base, grid, cells):
             assert (swept / name).read_bytes() == (single / name).read_bytes(), (cell, name)
         want = {**json.loads((swept / "summary.json").read_text()), "cell": cell, "grid": point}
         assert record == want
+
+
+# an autoencoder's target is its input: the one array serves as both
+def test_autoencoder_targets_share_the_inputs_memory():
+    ds = training.synth_dataset("random-autoencoder", 16, seed=0, dim=8)
+    assert ds.y is ds.x
 
 
 # Shards of 3, 3, 2 and 2 samples: each worker's batch is its whole shard, so
