@@ -11,8 +11,10 @@ Conventions shared by every step function:
     those iterations; the step functions only read the cached inverses,
     which precondition every step,
   * state equal on every worker is held once: one FactorState per layer,
-    one SgdState applied to every replica; a KfacState is one worker's
-    covariances, which :func:`kfac_invert` inverts into a FactorState,
+    one SgdState and kfac's preconditioned update, which every replica
+    applies (:func:`apply_update`); mkor and mkor-h still precondition per
+    replica, since the benchmark pins their replica ratio at 0.5; a
+    KfacState is one worker's covariances, inverted by :func:`kfac_invert`,
   * :func:`precondition` (mkor, mkor-h and kfac) forms L^-1 W_grad R^-1 in
     whichever form costs fewer flops for the layer: dense, 2oi(o + i) for an
     o x i layer, or through the B batch columns the workers' mean gradient
@@ -240,7 +242,7 @@ def rescale(delta_hat: np.ndarray, grad: np.ndarray) -> np.ndarray:
 # full steps
 
 
-def _apply_update(net: NetworkState, idx: int, delta, bias_grad, lr: float) -> None:
+def apply_update(net: NetworkState, idx: int, delta, bias_grad, lr: float) -> None:
     with counters.phase("weight_update"):
         np.subtract(net.weights[idx], lr * delta, out=net.weights[idx])
         counters.add_flops(2.0 * delta.size)
@@ -270,7 +272,7 @@ def mkor_step(
     factors are only read here."""
     with counters.phase("precondition"):
         delta = rescale(precondition(st.l_inv, grad, st.r_inv, captures), grad)
-    _apply_update(net, idx, delta, bias_grad, lr)
+    apply_update(net, idx, delta, bias_grad, lr)
 
 
 def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> None:
@@ -323,7 +325,7 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
 def sngd_step(net: NetworkState, captures: list[LayerCapture], mu: float, lr: float) -> None:
     """Precondition each capture's own gradient and apply it (one worker)."""
     for idx, (delta, cap) in enumerate(zip(sngd_precondition(captures, mu), captures)):
-        _apply_update(net, idx, delta, cap.b_grad, lr)
+        apply_update(net, idx, delta, cap.b_grad, lr)
 
 
 def _heavy_ball(vel: np.ndarray, grad: np.ndarray, momentum: float) -> np.ndarray:
@@ -335,12 +337,8 @@ def _heavy_ball(vel: np.ndarray, grad: np.ndarray, momentum: float) -> np.ndarra
 
 
 def sgd_momentum_step(
-    nets: list[NetworkState],
-    grads: list[np.ndarray],
-    lr: float,
-    momentum: float,
-    state: SgdState,
-    bias_grads: list[np.ndarray | None],
+    nets: list[NetworkState], grads: list[np.ndarray], lr: float, momentum: float,
+    state: SgdState, bias_grads: list[np.ndarray | None],
 ) -> None:
     """Heavy-ball update: v <- momentum*v + grad once; W <- W - lr*v per replica."""
     biases = nets[0].biases
@@ -353,7 +351,7 @@ def sgd_momentum_step(
             if bg is not None and biases[idx] is not None:
                 bg = _heavy_ball(state.bias_velocities[idx], bg, momentum)
         for net in nets:
-            _apply_update(net, idx, vel, bg, lr)
+            apply_update(net, idx, vel, bg, lr)
 
 
 def mkorh_maybe_switch(h: HybridState, loss_t: float) -> HybridState:

@@ -21,15 +21,17 @@ so the named error is all the user sees.
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
 broadcasts the inverses.  State equal on every worker (each layer's factors,
-the momentum velocities) exists once per run and is written once per step;
-a worker holds only its weight replica and its KFAC covariances.  The
-collectives tally what they ship in the run's RunTrace through
-``RunTrace.ship``, and nothing ships on one worker (sngd's only setting).
-Under half_precision_comm the rank-1 vectors are rounded through fp16 only
-when they ship, so one worker trains exactly as without it.  Weight
-gradients are averaged as ambient data-parallel traffic and are not
-counted, matching the complexity-table accounting where first-order rows
-communicate nothing.
+the momentum velocities) exists once per run and is written once per step; a
+worker holds only its weight replica and its KFAC covariances.  KFAC forms
+each layer's update once per step and every replica applies it; mkor and
+mkor-h still precondition per replica, because the benchmark's 2-worker
+smoke run pins their replica ratio at 0.5.  The collectives tally what they
+ship in the run's RunTrace through ``RunTrace.ship``, and nothing ships on
+one worker (sngd's only setting).  Under half_precision_comm the rank-1
+vectors are rounded through fp16 only when they ship, so one worker trains
+exactly as without it.  Weight gradients are averaged as ambient
+data-parallel traffic and are not counted, matching the complexity-table
+accounting where first-order rows communicate nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import counters, linalg, optim
+from . import counters, linalg
 from .analysis import Rank1ErrorRecord, covariance_records
 from .config import ConfigError, ExperimentConfig
 from .costs import RunTrace, layer_memory
@@ -52,6 +54,7 @@ from .optim import (
     HybridState,
     KfacState,
     SgdState,
+    apply_update,
     fp16_roundtrip,
     kfac_accumulate,
     kfac_invert,
@@ -243,13 +246,13 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             t, l, "inversion", kfac_invert, factors[l], covs[0][l], cfg.damping
                         )
                         trace.ship(factors[l].l_inv.size + factors[l].r_inv.size)  # broadcast
-                for w in range(n_workers):
-                    for l, st in enumerate(factors):
-                        with counters.phase("precondition"):
-                            delta = precondition(
-                                st.l_inv, grads[l], st.r_inv, [caps[l] for caps in worker_caps]
-                            )
-                        optim._apply_update(nets[w], l, delta, bias_grads[l], lr_t)
+                for l, st in enumerate(factors):
+                    with counters.phase("precondition"):
+                        delta = precondition(
+                            st.l_inv, grads[l], st.r_inv, [caps[l] for caps in worker_caps]
+                        )
+                    for net in nets:
+                        apply_update(net, l, delta, bias_grads[l], lr_t)
             else:
                 if sync:
                     for l in range(len(specs)):
@@ -274,8 +277,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             trace.step_wall_ms.append((time.perf_counter() - t0) * 1e3)
 
     workers_identical = all(
-        all(np.array_equal(nets[w].weights[l], nets[0].weights[l]) for l in range(len(specs)))
-        for w in range(1, n_workers)
+        np.array_equal(a, b) for net in nets[1:] for a, b in zip(net.weights, nets[0].weights)
     )
     return RunResult(
         losses=losses,

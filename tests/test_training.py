@@ -762,6 +762,28 @@ def test_factors_are_written_once_per_layer_per_sync(monkeypatch, optimizer, wri
     assert result.workers_identical
 
 
+# Every input to KFAC's precondition is shared (the factors, the workers' mean
+# gradient), so each layer's update is formed once per step and every replica
+# applies it.
+def test_kfac_preconditions_each_layer_once_per_step(monkeypatch):
+    calls = []
+    original = training.precondition
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(training, "precondition", counted)
+    cfg = load_config(None, SQUARE_AE + ["optimizer=kfac", "workers=4"], seed=0)
+    result = run_training(cfg)
+    specs = cfg.layer_specs()
+    assert len(calls) == len(specs) * cfg.iterations
+    # SQUARE_AE takes the dense form, 2oi(o + i) flops per layer and step
+    dense = sum(2 * s.out_dim * s.in_dim * (s.out_dim + s.in_dim) for s in specs)
+    assert result.trace.flops["precondition"] == cfg.iterations * dense
+    assert result.workers_identical
+
+
 def test_kfac_run_is_the_same_inside_the_benchmark_tracer(tmp_path, monkeypatch):
     """The benchmark wraps training's functions from outside (its kfac_invert
     hook reads the written inverses); a traced run trains and writes the same."""
@@ -781,7 +803,7 @@ def test_kfac_run_is_the_same_inside_the_benchmark_tracer(tmp_path, monkeypatch)
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     layers = len(cfg.layer_specs())
     assert tracer.spans["optim.kfac_invert"].calls == layers * plain.trace.sync_events
-    assert tracer.spans["optim.precondition"].calls > 0
+    assert tracer.spans["optim.precondition"].calls == layers * cfg.iterations
     assert tracer.factor_inv_norm_max > 0.0
     assert training.kfac_invert is optim.kfac_invert  # the tracer restored it
 
