@@ -1,11 +1,14 @@
 """Deterministic dense linear algebra on float64 numpy arrays.
 
 This is the only numeric substrate the rest of the package uses.  Matrices
-are 2-D C-contiguous float64 arrays (row-major), vectors are 1-D float64
-arrays.  The summation-order sensitive kernels are pinned: ``matmul`` (through
-numpy's einsum loop) and ``mean_columns`` accumulate in a fixed order,
-ascending over the contracted index, so their results are bit-identical to a
-scalar triple loop with the same order.  ``matvec`` and ``dot`` go through
+are 2-D float64 arrays, vectors are 1-D float64 arrays.  ``matmul`` takes
+views in any layout, so callers pass ``x.T`` rather than a transposed copy,
+and returns a new C-contiguous (row-major) matrix.  The summation-order
+sensitive kernels are pinned: ``matmul`` (through numpy's einsum loop, run
+as C = AB or as C^T = B^T A^T, whichever has the longer inner loop) and
+``mean_columns`` accumulate in a fixed order, ascending over the contracted
+index, so their results are bit-identical to a scalar triple loop with the
+same order.  ``matvec`` and ``dot`` go through
 BLAS; they repeat bit for bit at a fixed BLAS thread count, and the benchmark
 runs them at one thread.
 
@@ -48,11 +51,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.ascontiguousarray(a, dtype=np.float64)
+def _operand(a) -> np.ndarray:
+    """A 2-D float64 matrix, in the layout it came in (see :func:`matmul`)."""
+    m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {np.shape(a)}")
     return m
+
+
+def as_matrix(a) -> np.ndarray:
+    return np.ascontiguousarray(_operand(a))
 
 
 def as_vector(a) -> np.ndarray:
@@ -73,26 +81,45 @@ def matmul(a, b) -> np.ndarray:
     one rounded multiply and one rounded add per term, exactly like the
     scalar triple loop with the inner loop over k.
 
-    numpy's einsum (``optimize=False``, so no BLAS) keeps that order when b
-    has at least two columns: its iterator makes j, the contiguous axis of b
-    and of the output, the inner loop, and adds each term into the output for
-    k ascending.  With one column the contraction itself becomes the inner
-    loop, which einsum sums with SIMD partial sums, so b gets a zero column
-    appended and column 0 is returned.  The loop fuses no multiply-add on a
-    build whose SIMD baseline lacks FMA, as the pinned numpy 2.4.6 (X86_V2
-    baseline) does; a test fails if a build fuses.
+    numpy's einsum (``optimize=False``, so no BLAS) keeps that order when its
+    second operand is C-contiguous with at least two columns: its iterator
+    makes j, the contiguous axis of that operand and of the output, the inner
+    loop, and adds each term into the output for k ascending.  With one
+    column the contraction itself becomes the inner loop, which einsum sums
+    with SIMD partial sums, so b gets a zero column appended and column 0 is
+    returned.  The loop fuses no multiply-add on a build whose SIMD baseline
+    lacks FMA, as the pinned numpy 2.4.6 (X86_V2 baseline) does; a test fails
+    if a build fuses.
+
+    Loop shape: the inner loop is cheap per term only when it is long, so
+    when the output has more rows than columns (m > n >= 2) the same loop
+    runs on C^T = B^T A^T, whose inner loop spans the m rows, and C^T is
+    transposed back.  Each entry is then the sum over k ascending of
+    b[k, j] * a[i, k], and IEEE multiplication commutes, so every entry keeps
+    its products and its order.
+
+    Operands may be views in any layout (a ``.T`` view instead of a
+    transposed copy).  Only the operand whose rows the chosen loop runs along,
+    b or (switched) A^T, is copied, and only when it is not C-contiguous.
+    The result is a new C-contiguous array.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = _operand(a)
+    b = _operand(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    if n == 1:
-        b = np.concatenate([b, np.zeros_like(b)], axis=1)
-    out = np.einsum("ik,kj->ij", a, b, optimize=False)
     counters.add_flops(2.0 * m * n * k)
-    return out if n > 1 else out[:, :1].copy()
+    if m > n >= 2:
+        return _einsum(b.T, a.T).T.copy()
+    if n == 1:
+        return _einsum(a, np.concatenate([b, np.zeros_like(b)], axis=1))[:, :1].copy()
+    return _einsum(a, b)
+
+
+def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """einsum's pinned-order product; b's rows are the contiguous inner loop."""
+    return np.einsum("ik,kj->ij", a, np.ascontiguousarray(b), optimize=False)
 
 
 def matvec(m, v) -> np.ndarray:
@@ -118,10 +145,6 @@ def outer(u, v) -> np.ndarray:
     v = as_vector(v)
     counters.add_flops(float(u.shape[0] * v.shape[0]))
     return np.outer(u, v)
-
-
-def transpose(m) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(m).T)
 
 
 def scale(m, alpha: float) -> np.ndarray:
@@ -189,7 +212,7 @@ def direct_inverse(m) -> np.ndarray:
         x[i, :i] = -(c[i, :i] @ x[:i, :i]) / c[i, i]
         x[i, i] = 1.0 / c[i, i]
     counters.add_flops(n * n * n / 3.0)
-    return matmul(transpose(x), x)
+    return matmul(x.T, x)
 
 
 def cholesky(m) -> np.ndarray:

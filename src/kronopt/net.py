@@ -156,11 +156,11 @@ def backward(
     captures: list[LayerCapture] = [None] * len(net.layers)  # type: ignore[list-item]
     for idx in range(len(net.layers) - 1, -1, -1):
         a_prev, z, out = trace[idx]
-        w_grad = linalg.scale(linalg.matmul(g, linalg.transpose(a_prev)), 1.0 / b)
+        w_grad = linalg.scale(linalg.matmul(g, a_prev.T), 1.0 / b)
         b_grad = linalg.mean_columns(g) if net.biases[idx] is not None else None
         captures[idx] = LayerCapture(a_prev=a_prev, g=g, w_grad=w_grad, b_grad=b_grad)
         if idx > 0:
-            da = linalg.matmul(linalg.transpose(net.weights[idx]), g)
+            da = linalg.matmul(net.weights[idx].T, g)
             _, z_prev, out_prev = trace[idx - 1]
             g = da * _activate_grad(z_prev, out_prev, net.layers[idx - 1].activation)
     return lval, captures

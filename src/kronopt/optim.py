@@ -43,8 +43,6 @@ from .linalg import (
     mean_columns,
     outer,
     scale,
-    symmetrize,
-    transpose,
 )
 from .net import LayerCapture, NetworkState
 
@@ -159,7 +157,7 @@ def _sm_formula(f_inv, v, gamma: float, q=_identity_round):
     coeff = q((1.0 - gamma) / denom)
     term = q(scale(q(outer(u, u)), coeff))
     base = q(scale(f_inv, gamma))
-    return q(symmetrize(q(add(base, term))))
+    return q(add(base, term))
 
 
 def sm_update(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -167,7 +165,10 @@ def sm_update(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
 
         F_t^-1 = g*F^-1 + (1-g) / (g^2 (1 + g(1-g) v^T F^-1 v)) * F^-1 v v^T F^-1
 
-    The result is symmetrized and stays positive-definite for PD input.
+    For exactly symmetric F^-1 the result is exactly symmetric by
+    construction: g*F^-1 is, and so is the outer product u u^T, since
+    u_i u_j = u_j u_i in IEEE arithmetic.  It stays positive-definite for PD
+    input.
     """
     return _sm_formula(f_inv, v, gamma)
 
@@ -188,7 +189,7 @@ def sm_update_exact(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarra
     quad = dot(v, u)
     denom = 1.0 + (1.0 - gamma) / gamma * quad
     coeff = -(1.0 - gamma) / (gamma * gamma) / denom
-    return symmetrize(add(scale(f_inv, 1.0 / gamma), scale(outer(u, u), coeff)))
+    return add(scale(f_inv, 1.0 / gamma), scale(outer(u, u), coeff))
 
 
 def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
@@ -205,21 +206,25 @@ def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
 
     The rank-B form is taken only when it costs strictly fewer flops.  It is
     the only form that concatenates the captures, and only when W > 1.
+
+    Every factor write leaves L^-1 exactly symmetric, so both forms read it as
+    ``l_inv.T``: the view is the operand ``matmul``'s switched loop (more
+    rows than columns) runs along without a copy.
     """
     o, i = w_grad.shape
     batches = [cap.a_prev.shape[1] for cap in captures]
     n = sum(batches)
     if 2.0 * n * (o * o + i * i + o * i) + o * n >= 2.0 * o * i * (o + i):
-        return matmul(matmul(l_inv, w_grad), r_inv)
+        return matmul(matmul(l_inv.T, w_grad), r_inv)
     if len(captures) == 1:
         g, a = captures[0].g, captures[0].a_prev
     else:
         g = np.concatenate([cap.g for cap in captures], axis=1)
         a = np.concatenate([cap.a_prev for cap in captures], axis=1)
     weights = np.concatenate([np.full(b, 1.0 / (len(batches) * b)) for b in batches])
-    left = matmul(l_inv, g) * weights
+    left = matmul(l_inv.T, g) * weights
     counters.add_flops(float(left.size))
-    return matmul(left, matmul(transpose(a), r_inv))
+    return matmul(left, matmul(a.T, r_inv))
 
 
 def rescale(delta_hat: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -279,8 +284,8 @@ def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> No
     """Momentum update of the full covariance factors from one batch."""
     b = capture.a_prev.shape[1]
     with counters.phase("factor_update"):
-        l_new = scale(matmul(capture.g, transpose(capture.g)), 1.0 / b)
-        r_new = scale(matmul(capture.a_prev, transpose(capture.a_prev)), 1.0 / b)
+        l_new = scale(matmul(capture.g, capture.g.T), 1.0 / b)
+        r_new = scale(matmul(capture.a_prev, capture.a_prev.T), 1.0 / b)
         state.l_cov = add(scale(state.l_cov, gamma), scale(l_new, 1.0 - gamma))
         state.r_cov = add(scale(state.r_cov, gamma), scale(r_new, 1.0 - gamma))
 
@@ -307,7 +312,7 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
         a, g, grad = cap.a_prev, cap.g, cap.w_grad
         b = a.shape[1]
         with counters.phase("factor_update"):
-            kern = matmul(transpose(a), a) * matmul(transpose(g), g)
+            kern = matmul(a.T, a) * matmul(g.T, g)
             counters.add_flops(float(kern.size))
         with counters.phase("inversion"):
             kinv = linalg.direct_inverse(add(kern, scale(identity(b), mu)))
@@ -316,7 +321,7 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
             t = np.sum(g * p, axis=0)  # t_i = g_i^T grad a_i
             counters.add_flops(2.0 * g.size)
             y = matvec(kinv, t)
-            correction = matmul(g * y[None, :], transpose(a))
+            correction = matmul(g * y[None, :], a.T)
             counters.add_flops(float(g.size))
             updates.append(scale(add(grad, scale(correction, -1.0)), 1.0 / mu))
     return updates

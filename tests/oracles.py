@@ -155,9 +155,7 @@ def sngd_dense_update(a, g, grad, mu) -> np.ndarray:
 
 def sm_update_printed(f_inv, v, gamma: float) -> np.ndarray:
     """The rank-1 factor-inverse update as the paper prints it, in plain numpy:
-    g*F^-1 + (1-g) / (g^2 (1 + g(1-g) v^T F^-1 v)) * F^-1 v v^T F^-1, then
-    symmetrized as (M + M^T) / 2."""
+    g*F^-1 + (1-g) / (g^2 (1 + g(1-g) v^T F^-1 v)) * F^-1 v v^T F^-1."""
     u = f_inv @ v
     coeff = (1.0 - gamma) / (gamma**2 * (1.0 + gamma * (1.0 - gamma) * (v @ u)))
-    out = gamma * f_inv + coeff * np.outer(u, u)
-    return 0.5 * (out + out.T)
+    return gamma * f_inv + coeff * np.outer(u, u)

@@ -71,14 +71,38 @@ class TestMatmul:
             f"(got {got.tolist()}), so matmul no longer matches the triple loop"
         )
 
-    @pytest.mark.parametrize("m,k,n", [
-        (256, 256, 32), (256, 32, 256), (32, 256, 256), (128, 128, 128), (256, 256, 1),
+    # "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" is
+    # precondition's L^-1 G with the exactly symmetric L^-1 read as a .T view;
+    # both take the switched loop (m > n).  One entry in 16 of each operand is
+    # a signed zero.
+    @pytest.mark.parametrize("m,k,n,view", [
+        pytest.param(*case, id="-".join(str(x) for x in case if x is not None)) for case in (
+            (256, 256, 32, None), (256, 32, 256, None), (32, 256, 256, None),
+            (128, 128, 128, None), (256, 256, 1, None),
+            (256, 256, 32, "W.T"), (256, 256, 32, "l_inv.T"), (128, 128, 32, "l_inv.T"),
+        )
     ])
-    def test_workload_shapes_match_the_column_loop_bitwise(self, m, k, n):
+    def test_workload_shapes_match_the_column_loop_bitwise(self, m, k, n, view):
         rng = make_rng(m * 7 + k * 3 + n)
-        a = rng.standard_normal((m, k)) * np.exp(rng.uniform(-9.0, 9.0, (m, k)))
-        b = rng.standard_normal((k, n)) * np.exp(rng.uniform(-9.0, 9.0, (k, n)))
-        assert matmul(a, b).tobytes() == matmul_columns(a, b).tobytes()
+
+        def draw(shape):
+            x = rng.standard_normal(shape) * np.exp(rng.uniform(-9.0, 9.0, shape))
+            x[rng.uniform(size=shape) < 1.0 / 32] = 0.0
+            x[rng.uniform(size=shape) < 1.0 / 32] = -0.0
+            return x
+
+        if view == "W.T":
+            operand = draw((k, m)).T
+        elif view == "l_inv.T":
+            upper = np.triu(draw((m, k)))
+            operand = (upper + np.triu(upper, 1).T).T
+        else:
+            operand = draw((m, k))
+        b = draw((k, n))
+        want = matmul_columns(np.ascontiguousarray(operand), b)
+        got = matmul(operand, b)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 # Entries up to 1e150 keep every sum of up to 12 products below 1.8e308, so no
@@ -91,10 +115,16 @@ _ENTRY = st.one_of(
 
 @st.composite
 def _operands(draw):
+    """(a, b); each is drawn either C-ordered or as the .T view of its
+    transpose (Fortran-ordered), as callers pass them."""
     m, k, n = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    a = draw(arrays(np.float64, (m, k), elements=_ENTRY))
-    b = draw(arrays(np.float64, (k, n), elements=_ENTRY))
-    return a, b
+
+    def operand(rows, cols):
+        if draw(st.booleans()):
+            return draw(arrays(np.float64, (cols, rows), elements=_ENTRY)).T
+        return draw(arrays(np.float64, (rows, cols), elements=_ENTRY))
+
+    return operand(m, k), operand(k, n)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -103,9 +133,13 @@ def _operands(draw):
 @example(operands=(np.array([[1.0, -0.0, 3e-320]]), np.array([[2.0, 1.0], [-0.0, 5.0], [1e150, -1e-150]])))
 @example(operands=(np.array([[1e150], [-0.0], [2.5]]), np.array([[1e-150, -0.0, 7.0]])))
 @example(operands=(np.array([[0.1, 0.2, 0.3], [-0.0, 5e-324, 1e150]]), np.array([[0.3], [0.2], [0.1]])))
+# the switched loop (m > n >= 2) on a transposed view and a C-ordered operand
+@example(operands=(np.array([[1.0, -0.0, 2.5], [3e-320, 1e150, -7.0]]).T, np.array([[-0.0, 4.0], [1e-150, 0.5]])))
 def test_matmul_matches_the_triple_loop_byte_for_byte(operands):
     a, b = operands
-    assert matmul(a, b).tobytes() == matmul_loops(a, b).tobytes()
+    got = matmul(a, b)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == matmul_loops(a, b).tobytes()
 
 
 class TestOuter:
@@ -308,9 +342,8 @@ class TestPlumbing:
         m = np.array([[1.0, -2.0], [3.0, 4.0]])
         assert inf_norm(m) == 7.0
 
-    def test_transpose_scale_add(self):
+    def test_scale_add(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.transpose(m), m.T)
         assert np.array_equal(linalg.scale(m, 2.0), 2.0 * m)
         assert np.array_equal(linalg.add(m, m), 2.0 * m)
 

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kronopt import counters, linalg
 from kronopt.net import LayerCapture
 from kronopt.optim import (
+    KfacState,
     fp16_roundtrip,
+    kfac_accumulate,
     precondition,
     sm_update,
     sm_update_exact,
+    sm_update_quantized,
     sngd_precondition,
     stabilize,
 )
@@ -69,6 +73,43 @@ def test_one_stabilized_sm_update_stays_positive_definite(d, gamma, zeta, epsilo
     _, f_inv, v = _spd_inverse_and_vector(d, seed)
     out = sm_update(stabilize(f_inv, epsilon, zeta), v, gamma)
     assert jacobi_eigenvalues(out)[0] > 0.0
+
+
+# What lets the rank-1 updates skip (M + M^T) / 2: g*F^-1 and u u^T are
+# exactly symmetric, so their sum is too.  |v| <= 8 keeps the fp16 path's
+# u u^T inside the fp16 range.
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), d=st.integers(1, 16), gamma=st.floats(0.5, 0.99))
+def test_rank1_updates_of_a_symmetric_factor_are_exactly_symmetric(data, d, gamma):
+    entry = st.floats(-1.0, 1.0)
+    x = data.draw(arrays(np.float64, (d, d), elements=entry))
+    v = data.draw(arrays(np.float64, d, elements=st.floats(-8.0, 8.0)))
+    m = x @ x.T / d + np.eye(d)
+    f_inv = np.triu(m) + np.triu(m, 1).T  # exactly symmetric, eigenvalues >= 1
+    for update in (sm_update, sm_update_quantized, sm_update_exact):
+        out = update(f_inv, v, gamma)
+        assert out.tobytes() == out.T.copy().tobytes(), update.__name__
+
+
+def test_stabilize_rounds_as_zeta_f_plus_the_scaled_identity():
+    f = np.array([[300.0, -0.0, 1e-300], [-0.0, 2.0, -5.0], [1e-300, -5.0, 7.0]])
+    for zeta in (0.95, 0.5, 1.0):
+        want = zeta * f + (1.0 - zeta) * np.eye(3)
+        assert stabilize(f, 100.0, zeta).tobytes() == want.tobytes()
+    assert stabilize(f, 1e3, 0.95) is f
+
+
+def test_kfac_accumulate_rounds_as_the_ema_and_leaves_the_shared_factors_alone():
+    rng = np.random.default_rng(5)
+    g, a = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+    l_cov, r_cov = random_spd(rng, 3), random_spd(rng, 5)
+    state = KfacState(l_cov=l_cov, r_cov=r_cov)
+    before = (l_cov.copy(), r_cov.copy())
+    kfac_accumulate(state, LayerCapture(a_prev=a, g=g, w_grad=g @ a.T / 4), 0.9)
+    for got, cov, x, old in ((state.l_cov, l_cov, g, before[0]), (state.r_cov, r_cov, a, before[1])):
+        want = cov * 0.9 + (linalg.matmul(x, x.T) * (1.0 / 4)) * (1.0 - 0.9)
+        assert got.tobytes() == want.tobytes()
+        assert cov.tobytes() == old.tobytes()
 
 
 def test_fp16_roundtrip_clamps_to_the_fp16_range_and_logs_the_count(caplog):

@@ -784,6 +784,43 @@ def test_kfac_preconditions_each_layer_once_per_step(monkeypatch):
     assert result.workers_identical
 
 
+# precondition reads L^-1 as l_inv.T, which is L^-1 only while every factor
+# write leaves the inverses exactly symmetric: the rank-1 refresh, with the
+# stabilizer firing on every write (epsilon_norm=0.5) or never, its fp16-comm
+# inputs, and KFAC's inverse of the workers' reduced covariance.
+@pytest.mark.parametrize(
+    "overrides, fires",
+    [(["optimizer=mkor"], False), (["optimizer=mkor", "epsilon_norm=0.5"], True),
+     (["optimizer=mkor", "half_precision_comm=true"], False), (["optimizer=kfac"], False)],
+    ids=["mkor", "mkor-stabilized", "mkor-fp16", "kfac"],
+)
+def test_every_factor_inverse_reaching_precondition_is_exactly_symmetric(
+    monkeypatch, overrides, fires
+):
+    original, stabilize = optim.precondition, optim.stabilize
+    checked, fired = [], []
+
+    def symmetric_only(l_inv, w_grad, r_inv, captures):
+        for f in (l_inv, r_inv):
+            assert f.tobytes() == f.T.copy().tobytes()
+        checked.append(len(captures))
+        return original(l_inv, w_grad, r_inv, captures)
+
+    def watched(f_inv, *args):
+        out = stabilize(f_inv, *args)
+        fired.append(out is not f_inv)
+        return out
+
+    monkeypatch.setattr(optim, "precondition", symmetric_only)  # mkor_step's
+    monkeypatch.setattr(training, "precondition", symmetric_only)  # kfac's
+    monkeypatch.setattr(optim, "stabilize", watched)
+    cfg = load_config(None, SQUARE_AE + overrides + ["workers=2"], seed=0)
+    run_training(cfg)
+    per_step = len(cfg.layer_specs()) * (1 if cfg.optimizer == "kfac" else 2)
+    assert len(checked) == per_step * cfg.iterations and set(checked) == {2}
+    assert fired and all(fired) if fires else not any(fired)
+
+
 def test_kfac_run_is_the_same_inside_the_benchmark_tracer(tmp_path, monkeypatch):
     """The benchmark wraps training's functions from outside (its kfac_invert
     hook reads the written inverses); a traced run trains and writes the same."""
