@@ -4,13 +4,20 @@ This is the only numeric substrate the rest of the package uses.  Matrices
 are 2-D float64 arrays, vectors are 1-D float64 arrays.  ``matmul`` takes
 views in any layout, so callers pass ``x.T`` rather than a transposed copy,
 and returns a new C-contiguous (row-major) matrix.  The summation-order
-sensitive kernels are pinned: ``matmul`` (through numpy's einsum loop, run
-as C = AB or as C^T = B^T A^T, whichever has the longer inner loop) and
-``mean_columns`` accumulate in a fixed order, ascending over the contracted
-index, so their results are bit-identical to a scalar triple loop with the
-same order.  ``matvec`` and ``dot`` go through
-BLAS; they repeat bit for bit at a fixed BLAS thread count, and the benchmark
-runs them at one thread.
+sensitive kernels are pinned: ``matmul`` and ``mean_columns`` run one small C
+kernel (``_pinned.c``) that gives entry (i, j) the scalar triple loop's work,
+one rounded multiply and one rounded add per term for the contracted index
+ascending, so their results are bit-identical to that loop.  The kernel's
+vectors span output entries only, and it is compiled without contraction, so
+no multiply-add is ever fused.  ``matvec`` and ``dot`` go through BLAS; they
+repeat bit for bit at a fixed BLAS thread count, and the benchmark runs them
+at one thread.
+
+The kernel needs a C compiler on the path as ``cc``.  The first import
+compiles it into ``__pycache__/_pinned.<key>.so`` beside this file, where the
+key is the SHA-256 of the source and the compile command, so a binary built
+from other source or other flags never matches; later imports only hash the
+source and load the cached library.
 
 The one inverse, ``direct_inverse``, takes symmetric positive-definite input
 through ``cholesky``, and its final X^T X through ``matmul`` is exactly
@@ -19,14 +26,22 @@ for bit at one thread; writing them here pins their failure down to one named
 column.  The test suite checks both against independent oracles.
 
 No sparse formats, no complex numbers, no BLAS bindings beyond numpy's
-elementwise kernels, einsum, matrix-vector and dot products.
+elementwise kernels, matrix-vector and dot products.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+
 import numpy as np
 
 from . import counters
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pinned.c")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_SSIZE = ctypes.c_ssize_t
 
 
 class LinalgError(Exception):
@@ -51,11 +66,59 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def load_kernel(cache_dir: str):
+    """The pinned-order product ``pinned_matmul`` from ``_pinned.c``, loaded
+    from ``cache_dir`` and compiled there first if it is not cached yet.
+
+    A cached library is found by name alone, ``_pinned.<key>.so`` with key
+    the SHA-256 of the source and the compile command.  A miss runs the
+    compiler into a temporary name and moves the result into place, so a
+    reader never sees a half-written library.  A failed compile raises
+    RuntimeError naming the command and the compiler's message.
+    """
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read() + b"\0" + " ".join(_COMPILE).encode()).hexdigest()
+    path = os.path.join(cache_dir, f"_pinned.{key}.so")
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        _build(path)
+        lib = ctypes.CDLL(path)
+    kernel = lib.pinned_matmul
+    kernel.argtypes = (ctypes.c_void_p, _SSIZE, _SSIZE, ctypes.c_void_p, ctypes.c_void_p,
+                       _SSIZE, _SSIZE, _SSIZE)
+    kernel.restype = None
+    return kernel
+
+
+def _build(path: str) -> None:
+    import subprocess  # a cache hit starts no process, so it imports none
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    cmd = [*_COMPILE, "-o", tmp, _SOURCE]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot run the C compiler: {' '.join(cmd)}: {exc}") from exc
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"compiling the matmul kernel failed (exit {done.returncode}): "
+            f"{' '.join(cmd)}\n{done.stderr}"
+        )
+    os.replace(tmp, path)
+
+
+_kernel = load_kernel(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+
+
 def _operand(a) -> np.ndarray:
     """A 2-D float64 matrix, in the layout it came in (see :func:`matmul`)."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {np.shape(a)}")
+    if m.strides[0] % 8 or m.strides[1] % 8:  # e.g. a field of a packed record array
+        m = m.copy()
     return m
 
 
@@ -77,49 +140,36 @@ def identity(n: int) -> np.ndarray:
 def matmul(a, b) -> np.ndarray:
     """Matrix product with pinned summation order.
 
-    Entry (i, j) accumulates a[i, k] * b[k, j] into a zero for k ascending,
-    one rounded multiply and one rounded add per term, exactly like the
-    scalar triple loop with the inner loop over k.
+    Entry (i, j) starts at 0.0 and takes acc = acc + a[i, k] * b[k, j] for k
+    ascending, one rounded multiply and one rounded add per term, exactly
+    like the scalar triple loop with the inner loop over k.  The kernel
+    (``_pinned.c``) holds tiles of C in vector registers, 4 rows by 8
+    columns with AVX2 or by 4 columns with SSE2, whichever the CPU has when
+    the library loads; its vectors span output entries, never k, and it is
+    compiled with ``-ffp-contract=off``, so no term fuses a multiply-add.  A
+    test fails if one does.
 
-    numpy's einsum (``optimize=False``, so no BLAS) keeps that order when its
-    second operand is C-contiguous with at least two columns: its iterator
-    makes j, the contiguous axis of that operand and of the output, the inner
-    loop, and adds each term into the output for k ascending.  With one
-    column the contraction itself becomes the inner loop, which einsum sums
-    with SIMD partial sums, so b gets a zero column appended and column 0 is
-    returned.  The loop fuses no multiply-add on a build whose SIMD baseline
-    lacks FMA, as the pinned numpy 2.4.6 (X86_V2 baseline) does; a test fails
-    if a build fuses.
-
-    Loop shape: the inner loop is cheap per term only when it is long, so
-    when the output has more rows than columns (m > n >= 2) the same loop
-    runs on C^T = B^T A^T, whose inner loop spans the m rows, and C^T is
-    transposed back.  Each entry is then the sum over k ascending of
-    b[k, j] * a[i, k], and IEEE multiplication commutes, so every entry keeps
-    its products and its order.
-
-    Operands may be views in any layout (a ``.T`` view instead of a
-    transposed copy).  Only the operand whose rows the chosen loop runs along,
-    b or (switched) A^T, is copied, and only when it is not C-contiguous.
-    The result is a new C-contiguous array.
+    a may be a view in any layout (a ``.T`` view instead of a transposed
+    copy): the kernel reads it through its strides.  b is copied only when it
+    is not C-contiguous, since the kernel reads its rows as vectors.  The
+    result is a new C-contiguous array.
     """
     a = _operand(a)
     b = _operand(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    counters.add_flops(2.0 * m * n * k)
-    if m > n >= 2:
-        return _einsum(b.T, a.T).T.copy()
-    if n == 1:
-        return _einsum(a, np.concatenate([b, np.zeros_like(b)], axis=1))[:, :1].copy()
-    return _einsum(a, b)
+    counters.add_flops(2.0 * a.shape[0] * b.shape[1] * a.shape[1])
+    return _pinned(a, b)
 
 
-def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """einsum's pinned-order product; b's rows are the contiguous inner loop."""
-    return np.einsum("ik,kj->ij", a, np.ascontiguousarray(b), optimize=False)
+def _pinned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b through the kernel, uncounted; a from :func:`_operand`."""
+    b = np.ascontiguousarray(b)
+    (m, k), n = a.shape, b.shape[1]
+    c = np.empty((m, n), dtype=np.float64)
+    _kernel(a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, b.ctypes.data, c.ctypes.data,
+            m, k, n)
+    return c
 
 
 def matvec(m, v) -> np.ndarray:
@@ -188,14 +238,16 @@ def inf_norm(m) -> float:
 
 
 def mean_columns(m) -> np.ndarray:
-    """Row-wise mean over columns, accumulated column-by-column in order."""
-    m = as_matrix(m)
+    """Row-wise mean over columns: each row summed from 0.0 in column order,
+    then divided by the column count.
+
+    The sum is the kernel's product with a column of ones; x * 1.0 = x
+    exactly, signed zeros included, so each term adds the entry itself.
+    """
+    m = _operand(m)
     rows, cols = m.shape
-    acc = np.zeros(rows, dtype=np.float64)
-    for j in range(cols):
-        np.add(acc, m[:, j], out=acc)
     counters.add_flops(float(rows * cols + rows))
-    return acc / float(cols)
+    return _pinned(m, np.ones((cols, 1)))[:, 0] / float(cols)
 
 
 def direct_inverse(m) -> np.ndarray:

@@ -206,23 +206,19 @@ def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:
 
     The rank-B form is taken only when it costs strictly fewer flops.  It is
     the only form that concatenates the captures, and only when W > 1.
-
-    Every factor write leaves L^-1 exactly symmetric, so both forms read it as
-    ``l_inv.T``: the view is the operand ``matmul``'s switched loop (more
-    rows than columns) runs along without a copy.
     """
     o, i = w_grad.shape
     batches = [cap.a_prev.shape[1] for cap in captures]
     n = sum(batches)
     if 2.0 * n * (o * o + i * i + o * i) + o * n >= 2.0 * o * i * (o + i):
-        return matmul(matmul(l_inv.T, w_grad), r_inv)
+        return matmul(matmul(l_inv, w_grad), r_inv)
     if len(captures) == 1:
         g, a = captures[0].g, captures[0].a_prev
     else:
         g = np.concatenate([cap.g for cap in captures], axis=1)
         a = np.concatenate([cap.a_prev for cap in captures], axis=1)
     weights = np.concatenate([np.full(b, 1.0 / (len(batches) * b)) for b in batches])
-    left = matmul(l_inv.T, g) * weights
+    left = matmul(l_inv, g) * weights
     counters.add_flops(float(left.size))
     return matmul(left, matmul(a.T, r_inv))
 

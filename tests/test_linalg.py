@@ -1,3 +1,8 @@
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -61,25 +66,38 @@ class TestMatmul:
         with pytest.raises(DimensionMismatch):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
 
+    # A field of a packed record array is a float64 view whose strides are
+    # not whole elements; the kernel takes strides in elements.
+    def test_a_field_of_a_packed_record_array(self):
+        rng = make_rng(8)
+        records = np.zeros((5, 6), dtype=[("x", "f8"), ("flag", "i1")])
+        records["x"] = rng.standard_normal((5, 6))
+        a, b = records["x"], records["x"].T
+        assert a.strides == (54, 9)
+        assert matmul(a, b).tobytes() == matmul_loops(a, b).tobytes()
+
     # x*y = 1 - 2**-60 rounds to 1, so -1*1 + x*y is 0 with a rounded multiply
-    # and -2**-60 under a fused multiply-add.
+    # and -2**-60 under a fused multiply-add.  The 1 x 2 product reaches the
+    # kernel's one-column tail; the 4 x 8 one fills a whole vector tile.
     def test_no_fused_multiply_add(self):
         x, y = 1.0 + 2.0**-30, 1.0 - 2.0**-30
-        got = matmul(np.array([[-1.0, x]]), np.array([[1.0, 1.0], [y, y]]))
-        assert np.array_equal(got, np.zeros((1, 2))), (
-            f"numpy {np.__version__}: einsum's loop fuses multiply-add on this build "
-            f"(got {got.tolist()}), so matmul no longer matches the triple loop"
-        )
+        for rows, cols in ((1, 2), (4, 8)):
+            got = matmul(np.tile([[-1.0, x]], (rows, 1)), np.tile([[1.0], [y]], (1, cols)))
+            assert np.array_equal(got, np.zeros((rows, cols))), (
+                f"the pinned matmul kernel fuses multiply-add on this build "
+                f"(got {got.tolist()}), so matmul no longer matches the triple loop"
+            )
 
-    # "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" is
-    # precondition's L^-1 G with the exactly symmetric L^-1 read as a .T view;
-    # both take the switched loop (m > n).  One entry in 16 of each operand is
-    # a signed zero.
+    # "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" an
+    # exactly symmetric operand read as a .T view; the kernel reads both
+    # through their strides.  130 x 33 x 131 leaves a row tail and a column
+    # tail.  One entry in 16 of each operand is a signed zero.
     @pytest.mark.parametrize("m,k,n,view", [
         pytest.param(*case, id="-".join(str(x) for x in case if x is not None)) for case in (
             (256, 256, 32, None), (256, 32, 256, None), (32, 256, 256, None),
             (128, 128, 128, None), (256, 256, 1, None),
             (256, 256, 32, "W.T"), (256, 256, 32, "l_inv.T"), (128, 128, 32, "l_inv.T"),
+            (130, 33, 131, "W.T"),
         )
     ])
     def test_workload_shapes_match_the_column_loop_bitwise(self, m, k, n, view):
@@ -133,13 +151,50 @@ def _operands(draw):
 @example(operands=(np.array([[1.0, -0.0, 3e-320]]), np.array([[2.0, 1.0], [-0.0, 5.0], [1e150, -1e-150]])))
 @example(operands=(np.array([[1e150], [-0.0], [2.5]]), np.array([[1e-150, -0.0, 7.0]])))
 @example(operands=(np.array([[0.1, 0.2, 0.3], [-0.0, 5e-324, 1e150]]), np.array([[0.3], [0.2], [0.1]])))
-# the switched loop (m > n >= 2) on a transposed view and a C-ordered operand
+# more rows than columns, on a transposed view and a C-ordered operand
 @example(operands=(np.array([[1.0, -0.0, 2.5], [3e-320, 1e150, -7.0]]).T, np.array([[-0.0, 4.0], [1e-150, 0.5]])))
 def test_matmul_matches_the_triple_loop_byte_for_byte(operands):
     a, b = operands
     got = matmul(a, b)
     assert got.flags.c_contiguous
     assert got.tobytes() == matmul_loops(a, b).tobytes()
+
+
+class TestKernelLoader:
+    def test_a_cache_hit_starts_no_process(self):
+        # this process imported linalg, so the kernel for this source is cached
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        code = "import sys, kronopt.harness; print('subprocess' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_a_build_into_an_empty_directory_gives_matmuls_bytes(self, tmp_path):
+        kernel = linalg.load_kernel(str(tmp_path))
+        [name] = os.listdir(tmp_path)
+        assert re.fullmatch(r"_pinned\.[0-9a-f]{64}\.so", name)
+        rng = make_rng(5)
+        a, b = rng.standard_normal((256, 256)), rng.standard_normal((256, 32))
+        c = np.empty((256, 32))
+        kernel(a.ctypes.data, 256, 1, b.ctypes.data, c.ctypes.data, 256, 256, 32)
+        assert c.tobytes() == matmul(a, b).tobytes()
+
+    def test_a_compiler_failure_names_the_command_and_its_message(self, tmp_path, monkeypatch):
+        def fails(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 1, "", "_pinned.c:1:1: error: boom\n")
+
+        monkeypatch.setattr(subprocess, "run", fails)
+        with pytest.raises(RuntimeError, match=r"cc -O2 -ffp-contract=off .*_pinned\.c\n_pinned\.c:1:1: error: boom"):
+            linalg.load_kernel(str(tmp_path))
+
+        def missing(cmd, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", "cc")
+
+        monkeypatch.setattr(subprocess, "run", missing)
+        with pytest.raises(RuntimeError, match=r"cannot run the C compiler: cc -O2 .*No such file"):
+            linalg.load_kernel(str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
 
 class TestOuter:
@@ -328,10 +383,18 @@ class TestPlumbing:
         want = np.array([sum(float(m[i, j]) * float(v[j]) for j in range(4)) for i in range(6)])
         assert np.allclose(matvec(m, v), want, rtol=1e-13)
 
+    # Also at the bias gradient's shape (256 x 32).  One entry in 8 is +0.0 and
+    # one in 8 is -0.0, and row 0 is all -0.0, whose sum from 0.0 is +0.0.
     def test_mean_columns_bitwise(self):
         rng = make_rng(31)
-        m = rng.standard_normal((8, 5))
-        assert np.array_equal(mean_columns(m), mean_columns_loops(m))
+        for shape in ((8, 5), (256, 32)):
+            m = rng.standard_normal(shape)
+            m[rng.uniform(size=shape) < 1.0 / 8] = 0.0
+            m[rng.uniform(size=shape) < 1.0 / 8] = -0.0
+            m[0] = -0.0
+            want = mean_columns_loops(m).tobytes()
+            assert mean_columns(m).tobytes() == want
+            assert mean_columns(np.asfortranarray(m)).tobytes() == want
 
     def test_mean_columns_hand(self):
         assert np.array_equal(
