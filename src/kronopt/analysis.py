@@ -22,7 +22,6 @@ from .linalg import (
     identity,
     matmul,
     scale,
-    symmetrize,
 )
 from .optim import sm_update, sm_update_exact, sm_update_quantized, stabilize
 
@@ -76,7 +75,7 @@ def covariance_records(captures, iteration: int) -> list[Rank1ErrorRecord]:
 def make_spd(rng: np.random.Generator, d: int, jitter: float = 0.5) -> np.ndarray:
     """Random symmetric positive-definite test matrix X X^T / d + jitter*I."""
     x = rng.standard_normal((d, d))
-    return symmetrize(x @ x.T / d + jitter * np.eye(d))
+    return x @ x.T / d + jitter * np.eye(d)
 
 
 def quantization_error_report(d: int, gamma: float, trials: int, seed: int = 0) -> dict:
@@ -210,7 +209,6 @@ def lemma1_chain(
     zeta: float = 0.95,
     epsilon_norm: float = 100.0,
     seed: int = 0,
-    check_every: int = 1,
 ) -> dict:
     """Drive a stabilize/sm_update chain from the identity and Cholesky-check
     positive-definiteness along the way.  Returns chain statistics; raises
@@ -221,10 +219,9 @@ def lemma1_chain(
     for t in range(1, steps + 1):
         f = stabilize(f, epsilon_norm, zeta)
         f = sm_update(f, rng.standard_normal(d), gamma)
-        if t % check_every == 0:
-            try:
-                chol = linalg.cholesky(f)
-            except linalg.SingularMatrix as exc:
-                raise NumericalError(f"PD lost at step {t} (d={d})") from exc
-            min_diag = min(min_diag, float(np.min(np.diag(chol))))
+        try:
+            chol = linalg.cholesky(f)
+        except linalg.SingularMatrix as exc:
+            raise NumericalError(f"PD lost at step {t} (d={d})") from exc
+        min_diag = min(min_diag, float(np.min(np.diag(chol))))
     return {"d": d, "steps": steps, "min_cholesky_diag": float(min_diag)}

@@ -212,15 +212,6 @@ def add(a, b) -> np.ndarray:
     return a + b
 
 
-def symmetrize(m) -> np.ndarray:
-    """(M + M^T) / 2; absorbs roundoff drift before PD-sensitive operations."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"symmetrize: non-square {m.shape}")
-    counters.add_flops(2.0 * m.size)
-    return (m + m.T) * 0.5
-
-
 def frobenius_norm(m) -> float:
     m = np.asarray(m, dtype=np.float64)
     flat = m.reshape(-1)
@@ -229,11 +220,9 @@ def frobenius_norm(m) -> float:
 
 
 def inf_norm(m) -> float:
-    """Induced infinity norm: maximum absolute row sum (max |x| for vectors)."""
+    """Induced infinity norm: maximum absolute row sum."""
     m = np.asarray(m, dtype=np.float64)
     counters.add_flops(2.0 * m.size)
-    if m.ndim == 1:
-        return float(np.max(np.abs(m))) if m.size else 0.0
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
@@ -270,8 +259,8 @@ def direct_inverse(m) -> np.ndarray:
 def cholesky(m) -> np.ndarray:
     """Lower-triangular C with C @ C.T ~= M for an exactly symmetric M.
 
-    Asymmetric input raises :class:`LinalgError` rather than being
-    symmetrized.  A non-positive or non-finite pivot means "not
+    Asymmetric input raises :class:`LinalgError`; it is never averaged with
+    its transpose.  A non-positive or non-finite pivot means "not
     positive-definite within tolerance" and raises :class:`SingularMatrix`
     naming the pivot and its column.
     """
@@ -317,26 +306,3 @@ def power_iteration(m, iters: int = 1000, tol: float = 1e-12) -> tuple[float, np
         if res < tol * max(1.0, abs(sigma)):
             break
     return sigma, v
-
-
-def power_iteration_extremes(m, iters: int = 200) -> tuple[float, float]:
-    """(lambda_max, lambda_min) estimates for a symmetric PSD matrix.
-
-    lambda_max comes from power iteration on m; lambda_min from power
-    iteration on direct_inverse(m + delta*I) with shift
-    delta = 1e-12 * max(||m||_inf, 1e-30), corrected by subtracting delta.
-    If the shifted matrix is not positive-definite, lambda_min is reported as 0.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"power_iteration_extremes: non-square {m.shape}")
-    lam_max, _ = power_iteration(m, iters)
-    delta = 1e-12 * max(inf_norm(m), 1e-30)
-    try:
-        inv = direct_inverse(m + delta * np.eye(m.shape[0]))
-    except SingularMatrix:
-        return lam_max, 0.0
-    mu, _ = power_iteration(inv, iters)
-    if mu <= 0.0:
-        return lam_max, 0.0
-    return lam_max, 1.0 / mu - delta

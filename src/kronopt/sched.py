@@ -54,7 +54,6 @@ def knee_point_update(state: KneePointState, metric_t: float) -> tuple[KneePoint
     )
     if (
         not recently_fired
-        and state.steps_since_change >= 1
         and state.baseline_gain > 0.0
         and state.ema_rate < state.beta * (state.baseline_gain / state.steps_since_change)
     ):

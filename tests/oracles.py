@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from kronopt.net import NetworkState, forward, loss_value
+
 
 def matmul_loops(a, b):
     """Scalar triple loop, inner loop over the contracted index in ascending
@@ -120,6 +122,33 @@ def scalar_two_layer_tanh(w1, b1, w2, b2, x):
             row.append(acc)
         outs.append(row)
     return np.array(outs).T
+
+
+def finite_difference_grad(
+    net: NetworkState, x, targets, loss: str, h: float = 1e-5
+) -> list[np.ndarray]:
+    """Central-difference gradient of the scalar loss w.r.t. each weight matrix.
+
+    Verification oracle: O(h^2) truncation, independent of backward().
+    """
+    if not (1e-8 < h < 1e-2):
+        raise ValueError("h out of supported range (1e-8, 1e-2)")
+    grads = []
+    for li, w in enumerate(net.weights):
+        gw = np.zeros_like(w)
+        for i in range(w.shape[0]):
+            for j in range(w.shape[1]):
+                orig = w[i, j]
+                w[i, j] = orig + h
+                out, _ = forward(net, x)
+                lp = loss_value(out, targets, loss)
+                w[i, j] = orig - h
+                out, _ = forward(net, x)
+                lm = loss_value(out, targets, loss)
+                w[i, j] = orig
+                gw[i, j] = (lp - lm) / (2.0 * h)
+        grads.append(gw)
+    return grads
 
 
 def random_spd(rng: np.random.Generator, d: int, jitter: float = 1.0) -> np.ndarray:

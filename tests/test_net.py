@@ -7,12 +7,11 @@ from kronopt.net import (
     LOSSES,
     LayerSpec,
     backward,
-    finite_difference_grad,
     forward,
     init_network,
 )
 
-from oracles import scalar_two_layer_tanh
+from oracles import finite_difference_grad, scalar_two_layer_tanh
 
 
 @pytest.mark.parametrize("loss", LOSSES)

@@ -23,6 +23,13 @@ knee scheduler):
 * {mkor, kfac} x workers {1, 4} on a 32-wide random autoencoder at batch 8:
   at one worker (8 gradient columns) ``optim.precondition`` takes its rank-B
   form, at four (32 columns) its dense form;
+* mkor at four workers on that autoencoder cut to 10 samples: the shards
+  hold 3, 3, 2 and 2, so ``optim.precondition`` takes its rank-B form over
+  the concatenated captures, with unequal 1/(W b_w) column weights;
+* softmax cross-entropy on an IDX images/labels pair (16 images of 2x2,
+  labels 0-2) that the tool writes into its temporary directory, which is
+  the working directory of every run, so the pair is named by relative
+  paths and ``summary.json`` does not hold the directory's name;
 * xor under the step scheduler, with milestones that decay the lr at
   iterations 11 and 41;
 * xor with relu, sigmoid and identity hidden layers;
@@ -37,7 +44,7 @@ knee scheduler):
 * ``cost-report --d 64 --b 8`` and ``verify-lemmas --steps 50``, which take
   no config or seed.
 
-63 short runs; a few seconds on one core.
+65 short runs; a few seconds on one core.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import hashlib
 import io
 import os
 import platform
+import struct
 import sys
 import tempfile
 
@@ -82,6 +90,16 @@ RUNS = {
     "mkor-fp16-w4": ("optimizer=mkor", "workers=4", "half_precision_comm=true"),
     "mkor-rank1": ("optimizer=mkor", "rank1_every=7"),
 }
+
+# 16 images of 2x2 and labels 0, 1, 2, 0, ..., as IDX files
+IDX_FILES = {
+    "images.idx": struct.pack(">IIII", 0x803, 16, 2, 2) + bytes((37 * i) % 256 for i in range(64)),
+    "labels.idx": struct.pack(">II", 0x801, 16) + bytes(i % 3 for i in range(16)),
+}
+IDX = (
+    "dataset.kind=idx", "dataset.images=images.idx", "dataset.labels=labels.idx",
+    "net.dims=4,8,3", "loss=softmax_cross_entropy",
+)
 
 # epoch_iters=2 puts the milestones 5 and 20 at iterations 11 and 41
 STEP_SCHEDULE = ("scheduler=step", "milestones=5,20", "epoch_iters=2")
@@ -123,6 +141,10 @@ def commands(config_path: str) -> dict[str, list[str]]:
             cmds[f"ae32/{opt}-w{w}"] = [
                 "train", "--seed", "0", *_sets(COMMON + WIDE + (f"optimizer={opt}", f"workers={w}")),
             ]
+    cmds["ae32/mkor-w4-n10"] = [
+        "train", "--seed", "0", *_sets(COMMON + WIDE + ("optimizer=mkor", "workers=4", "dataset.n=10")),
+    ]
+    cmds["idx"] = ["train", "--seed", "0", *_sets(COMMON + IDX)]
     cmds["xor/step"] = ["train", "--seed", "0", *_sets(COMMON + STEP_SCHEDULE)]
     for act in ("relu", "sigmoid", "identity"):
         cmds[f"xor/{act}"] = ["train", "--seed", "0", *_sets(COMMON + (f"net.activation={act}",))]
@@ -154,21 +176,29 @@ def main(argv=None) -> int:
     from kronopt import cli
 
     print(f"# python {platform.python_version()} numpy {numpy.__version__}")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "experiment.cfg")
         with open(config_path, "w") as fh:
             fh.write(CONFIG_FILE)
-        for cell, cmd in commands(config_path).items():
-            out = os.path.join(tmp, cell)
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([*cmd, "--out", out])
-            if code != 0:
-                print(f"{cell}: kronopt exited {code}", file=sys.stderr)
-                return 1
-            for root, _, files in sorted(os.walk(out)):
-                for name in sorted(files):
-                    path = os.path.join(root, name)
-                    print(cell, os.path.relpath(path, out), _digest(path))
+        for name, data in IDX_FILES.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        os.chdir(tmp)
+        try:
+            for cell, cmd in commands(config_path).items():
+                out = os.path.join(tmp, cell)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*cmd, "--out", out])
+                if code != 0:
+                    print(f"{cell}: kronopt exited {code}", file=sys.stderr)
+                    return 1
+                for root, _, files in sorted(os.walk(out)):
+                    for name in sorted(files):
+                        path = os.path.join(root, name)
+                        print(cell, os.path.relpath(path, out), _digest(path))
+        finally:
+            os.chdir(cwd)
     return 0
 
 
