@@ -235,12 +235,3 @@ def load_config(
         cfg.seed = seed
     return cfg.validate()
 
-
-def config_as_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(ExperimentConfig):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = list(val)
-        out[f.name] = val
-    return out

@@ -11,9 +11,9 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .config import ConfigError, ExperimentConfig, apply_assignment, config_as_dict
+from .config import ConfigError, ExperimentConfig, apply_assignment
 from .costs import cost_csv_rows
 from .net import save_checkpoint
 from .training import RunResult, build_dataset, run_training
@@ -37,7 +37,7 @@ def write_json(path: str, obj, default=None) -> None:
 def summary(cfg: ExperimentConfig, result: RunResult) -> dict:
     """The summary.json object of one run."""
     return {
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
         "final_loss": result.losses[-1],
         "iterations": cfg.iterations,
         "switch_iteration": result.switch_iteration,

@@ -10,18 +10,19 @@ Conventions shared by every step function:
     "never") and calls :func:`refresh_factors` or :func:`kfac_invert` on
     those iterations; the step functions only read the cached inverses,
     which precondition every step,
-  * state equal on every worker is held once: one FactorState per layer,
-    one SgdState and kfac's preconditioned update, which every replica
-    applies (:func:`apply_update`); mkor and mkor-h still precondition per
-    replica, since the benchmark pins their replica ratio at 0.5; a
-    KfacState is one worker's covariances, inverted by :func:`kfac_invert`,
+  * a step function forms each layer's update and returns it; the loop
+    applies it to every replica through :func:`apply_update`, the only
+    function here that touches a network,
+  * state equal on every worker is held once: one FactorState per layer and
+    one SgdState; a KfacState is one worker's covariances, inverted by
+    :func:`kfac_invert`,
   * :func:`precondition` (mkor, mkor-h and kfac) forms L^-1 W_grad R^-1 in
     whichever form costs fewer flops for the layer: dense, 2oi(o + i) for an
     o x i layer, or through the B batch columns the workers' mean gradient
     is made of, 2B(o^2 + i^2 + oi) + oB.  The rank-B form weights a column
     of worker w by 1/(W b_w),
-  * weights update as W <- W - lr * delta; biases always take the raw
-    first-order gradient.
+  * weights update as W <- W - lr * delta; biases take the raw gradient, or
+    under sgd its velocity.
 """
 
 from __future__ import annotations
@@ -263,17 +264,13 @@ def refresh_factors(
         st.r_inv = sm_update(stabilize(st.r_inv, epsilon_norm, zeta), a_bar, gamma)
 
 
-def mkor_step(
-    net: NetworkState, idx: int, st: FactorState, grad: np.ndarray,
-    captures: list[LayerCapture], bias_grad: np.ndarray | None, lr: float,
-) -> None:
-    """One optimizer step of layer ``idx``: precondition its gradient (the
-    mean over the workers whose captures are given) with the layer's cached
-    inverse factors, rescale it to the gradient's norm and apply it.  The
-    factors are only read here."""
+def mkor_step(st: FactorState, grad: np.ndarray, captures: list[LayerCapture]) -> np.ndarray:
+    """One layer's update: its gradient (the mean over the workers whose
+    captures are given) preconditioned with the layer's cached inverse
+    factors and rescaled to the gradient's norm.  The factors are only read
+    here."""
     with counters.phase("precondition"):
-        delta = rescale(precondition(st.l_inv, grad, st.r_inv, captures), grad)
-    apply_update(net, idx, delta, bias_grad, lr)
+        return rescale(precondition(st.l_inv, grad, st.r_inv, captures), grad)
 
 
 def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> None:
@@ -323,36 +320,23 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
     return updates
 
 
-def sngd_step(net: NetworkState, captures: list[LayerCapture], mu: float, lr: float) -> None:
-    """Precondition each capture's own gradient and apply it (one worker)."""
-    for idx, (delta, cap) in enumerate(zip(sngd_precondition(captures, mu), captures)):
-        apply_update(net, idx, delta, cap.b_grad, lr)
-
-
-def _heavy_ball(vel: np.ndarray, grad: np.ndarray, momentum: float) -> np.ndarray:
-    """vel <- momentum*vel + grad in place, counted; returns vel."""
-    np.multiply(vel, momentum, out=vel)
-    np.add(vel, grad, out=vel)
-    counters.add_flops(2.0 * vel.size)
-    return vel
-
-
 def sgd_momentum_step(
-    nets: list[NetworkState], grads: list[np.ndarray], lr: float, momentum: float,
-    state: SgdState, bias_grads: list[np.ndarray | None],
-) -> None:
-    """Heavy-ball update: v <- momentum*v + grad once; W <- W - lr*v per replica."""
-    biases = nets[0].biases
+    grads: list[np.ndarray], bias_grads: list[np.ndarray | None], momentum: float,
+    state: SgdState,
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """Heavy-ball velocities v <- momentum*v + grad, held once per run and
+    written in place, for the weights and the biases (None for a layer
+    without bias); they are the update."""
     if not state.velocities:
-        state.velocities = [np.zeros_like(w) for w in nets[0].weights]
-        state.bias_velocities = [None if b is None else np.zeros_like(b) for b in biases]
-    for idx, (grad, bg) in enumerate(zip(grads, bias_grads)):
-        with counters.phase("weight_update"):
-            vel = _heavy_ball(state.velocities[idx], grad, momentum)
-            if bg is not None and biases[idx] is not None:
-                bg = _heavy_ball(state.bias_velocities[idx], bg, momentum)
-        for net in nets:
-            apply_update(net, idx, vel, bg, lr)
+        state.velocities = [np.zeros_like(g) for g in grads]
+        state.bias_velocities = [None if bg is None else np.zeros_like(bg) for bg in bias_grads]
+    with counters.phase("weight_update"):
+        for vel, grad in zip(state.velocities + state.bias_velocities, grads + bias_grads):
+            if vel is not None:
+                np.multiply(vel, momentum, out=vel)
+                np.add(vel, grad, out=vel)
+                counters.add_flops(2.0 * vel.size)
+    return state.velocities, state.bias_velocities
 
 
 def mkorh_maybe_switch(h: HybridState, loss_t: float) -> HybridState:

@@ -18,20 +18,22 @@ NumericalError naming the iteration.  The factor write, forward/backward and
 the update norm in ``optim.rescale`` run with numpy's overflow warnings off,
 so the named error is all the user sees.
 
+Updates: optimizers form each layer's update, and this loop alone applies it
+to every worker's weight replica through ``optim.apply_update``.  mkor and
+mkor-h form it once per replica, because the benchmark's 2-worker smoke run
+pins their replica ratio at 0.5; the others once per step.  State equal on
+every worker (factors, velocities) exists once per run; a worker holds only
+its weight replica and its KFAC covariances.
+
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
-broadcasts the inverses.  State equal on every worker (each layer's factors,
-the momentum velocities) exists once per run and is written once per step; a
-worker holds only its weight replica and its KFAC covariances.  KFAC forms
-each layer's update once per step and every replica applies it; mkor and
-mkor-h still precondition per replica, because the benchmark's 2-worker
-smoke run pins their replica ratio at 0.5.  The collectives tally what they
-ship in the run's RunTrace through ``RunTrace.ship``, and nothing ships on
-one worker (sngd's only setting).  Under half_precision_comm the rank-1
-vectors are rounded through fp16 only when they ship, so one worker trains
-exactly as without it.  Weight gradients are averaged as ambient
-data-parallel traffic and are not counted, matching the complexity-table
-accounting where first-order rows communicate nothing.
+broadcasts the inverses.  The collectives tally what they ship in the run's
+RunTrace through ``RunTrace.ship``, and nothing ships on one worker (sngd's
+only setting).  Under half_precision_comm the rank-1 vectors are rounded
+through fp16 only when they ship, so one worker trains exactly as without
+it.  Weight gradients are averaged as ambient data-parallel traffic and are
+not counted, matching the complexity-table accounting where first-order rows
+communicate nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .optim import (
     rank1_reduce,
     refresh_factors,
     sgd_momentum_step,
-    sngd_step,
+    sngd_precondition,
 )
 from .sched import KneePointState, knee_point_update, step_decay
 
@@ -108,6 +110,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _mean_over_workers(arrays) -> np.ndarray:
+    """Mean summed from zeros in worker order; one worker's array comes back
+    as itself, so nothing may write a gradient in place."""
+    if len(arrays) == 1:
+        return arrays[0]
     acc = np.zeros_like(arrays[0])
     for a in arrays:
         np.add(acc, a, out=acc)
@@ -116,8 +122,8 @@ def _mean_over_workers(arrays) -> np.ndarray:
 
 def _allreduce(arrays, trace: RunTrace, half_precision: bool = False) -> np.ndarray:
     """Mean of one optimizer payload over the workers: (W+1)*size adds
-    counted, shipped; under ``half_precision`` each array is rounded through
-    fp16 when there is more than one to ship."""
+    counted (at W=1 too, where none run), shipped; under ``half_precision``
+    each array is rounded through fp16 when there is more than one to ship."""
     if half_precision and len(arrays) > 1:
         arrays = [fp16_roundtrip(a) for a in arrays]
     counters.add_flops((len(arrays) + 1.0) * arrays[0].size)
@@ -207,14 +213,11 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             lrs.append(lr_t)
 
             # ambient data-parallel gradient averaging (not optimizer traffic)
-            grads = [
-                _mean_over_workers([worker_caps[w][l].w_grad for w in range(n_workers)])
-                for l in range(len(specs))
-            ]
+            grads = [_mean_over_workers([c.w_grad for c in caps]) for caps in zip(*worker_caps)]
             bias_grads = [
-                _mean_over_workers([worker_caps[w][l].b_grad for w in range(n_workers)])
-                if worker_caps[0][l].b_grad is not None else None
-                for l in range(len(specs))
+                _mean_over_workers([c.b_grad for c in caps])
+                if caps[0].b_grad is not None else None
+                for caps in zip(*worker_caps)
             ]
 
             if hybrid is not None:
@@ -225,10 +228,11 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             sync = not first_order and (opt == "sngd" or (period > 0 and t % period == 0))
             trace.sync_events += sync
 
+            deltas, bias_deltas = None, bias_grads  # None: mkor and mkor-h form theirs below
             if first_order:
-                sgd_momentum_step(nets, grads, lr_t, cfg.momentum, velocity, bias_grads)
+                deltas, bias_deltas = sgd_momentum_step(grads, bias_grads, cfg.momentum, velocity)
             elif opt == "sngd":
-                sngd_step(nets[0], worker_caps[0], cfg.damping, lr_t)
+                deltas = sngd_precondition(worker_caps[0], cfg.damping)
             elif opt == "kfac":
                 for w in range(n_workers):
                     for l in range(len(specs)):
@@ -246,31 +250,35 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                             t, l, "inversion", kfac_invert, factors[l], covs[0][l], cfg.damping
                         )
                         trace.ship(factors[l].l_inv.size + factors[l].r_inv.size)  # broadcast
-                for l, st in enumerate(factors):
-                    with counters.phase("precondition"):
-                        delta = precondition(
+                with counters.phase("precondition"):
+                    deltas = [
+                        precondition(
                             st.l_inv, grads[l], st.r_inv, [caps[l] for caps in worker_caps]
                         )
-                    for net in nets:
-                        apply_update(net, l, delta, bias_grads[l], lr_t)
-            else:
-                if sync:
-                    for l in range(len(specs)):
-                        with counters.phase("factor_update"):
-                            a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
-                            a_bar = _allreduce(a_bars, trace, cfg.half_precision_comm)
-                            g_bar = _allreduce(g_bars, trace, cfg.half_precision_comm)
-                        _write_factors(
-                            t, l, "factor_update", refresh_factors, factors[l],
-                            a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
-                        )
-                for w in range(n_workers):
-                    for l, st in enumerate(factors):
+                        for l, st in enumerate(factors)
+                    ]
+            elif sync:
+                for l in range(len(specs)):
+                    with counters.phase("factor_update"):
+                        a_bars, g_bars = zip(*(rank1_reduce(caps[l]) for caps in worker_caps))
+                        a_bar = _allreduce(a_bars, trace, cfg.half_precision_comm)
+                        g_bar = _allreduce(g_bars, trace, cfg.half_precision_comm)
+                    _write_factors(
+                        t, l, "factor_update", refresh_factors, factors[l],
+                        a_bar, g_bar, cfg.gamma, cfg.zeta, cfg.epsilon_norm,
+                    )
+
+            for l in range(len(specs)):
+                for net in nets:
+                    if deltas is None:
+                        # per replica: kronbench pins mkor's replica ratio at 0.5 (item 7)
                         with _named(t, l, "precondition"):
-                            mkor_step(
-                                nets[w], l, st, grads[l], [caps[l] for caps in worker_caps],
-                                bias_grads[l], lr_t,
+                            delta = mkor_step(
+                                factors[l], grads[l], [caps[l] for caps in worker_caps]
                             )
+                    else:
+                        delta = deltas[l]
+                    apply_update(net, l, delta, bias_deltas[l], lr_t)
 
             if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
                 rank1_records.extend(covariance_records(worker_caps[0], t))

@@ -1,6 +1,7 @@
 """Every top-level function and class in ``src/kronopt`` is referenced by
 name somewhere else in the package, so nothing there is code that only the
-tests reach.  An oracle that only tests call lives in ``tests/oracles.py``."""
+tests reach.  An oracle that only tests call lives in ``tests/oracles.py``.
+Weight updates have one apply site, ``training.run_training``."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,37 @@ def unreferenced(src: Path) -> list[str]:
 
 def test_every_top_level_definition_is_referenced_in_the_package():
     assert unreferenced(SRC) == []
+
+
+def _top_level_functions(src: Path):
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                yield path.stem, stmt
+
+
+# Optimizers form updates and the training loop applies them: one apply site,
+# and no other optim function is handed a network or a list of networks.
+def test_apply_update_is_called_only_from_run_training():
+    callers = [
+        f"{module}.{fn.name}"
+        for module, fn in _top_level_functions(SRC)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "apply_update"
+    ]
+    assert callers == ["training.run_training"]
+
+
+def test_only_apply_update_takes_a_network_in_optim():
+    takers = [
+        fn.name
+        for module, fn in _top_level_functions(SRC)
+        if module == "optim"
+        for arg in fn.args.args
+        if arg.annotation is not None and "NetworkState" in ast.unparse(arg.annotation)
+    ]
+    assert takers == ["apply_update"]
 
 
 def test_a_name_in_a_string_or_an_import_or_its_own_body_is_no_reference(tmp_path):

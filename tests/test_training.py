@@ -703,6 +703,27 @@ def test_traffic_is_counted_where_it_ships(optimizer, workers, half):
     assert trace.comm_bytes == trace.comm_elements * (2 if half else 4)
 
 
+# One worker's gradient is its own mean: no zeros, no add, no division.  On
+# more workers the mean is summed from +0.0 in worker order, then divided by
+# W, so the bits are those of that loop (signed zeros included).
+def test_mean_over_one_worker_is_that_workers_array():
+    grad = np.array([[1.5, -0.0], [0.0, -2.25]])
+    assert training._mean_over_workers([grad]) is grad
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_mean_over_workers_is_the_zero_started_sum_over_w(workers):
+    rng = np.random.default_rng(workers)
+    arrays = [rng.standard_normal((5, 3)) for _ in range(workers)]
+    arrays[0][0, 0] = arrays[-1][0, 0] = -0.0
+    total = np.zeros((5, 3))
+    for a in arrays:
+        total = total + a
+    got = training._mean_over_workers(arrays)
+    assert got.tobytes() == (total / workers).tobytes()
+    assert not any(got is a for a in arrays)
+
+
 @pytest.mark.parametrize("optimizer", ["mkor", "mkor-h", "kfac", "sngd", "sgd"])
 def test_run_memory_is_the_analytic_row_per_layer(optimizer):
     cfg = load_config(None, SQUARE_AE + [f"optimizer={optimizer}"], seed=0)
