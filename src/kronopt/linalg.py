@@ -9,9 +9,12 @@ kernel (``_pinned.c``) that gives entry (i, j) the scalar triple loop's work,
 one rounded multiply and one rounded add per term for the contracted index
 ascending, so their results are bit-identical to that loop.  The kernel's
 vectors span output entries only, and it is compiled without contraction, so
-no multiply-add is ever fused.  ``matvec`` and ``dot`` go through BLAS; they
-repeat bit for bit at a fixed BLAS thread count, and the benchmark runs them
-at one thread.
+no multiply-add is ever fused.  It has three paths, each holding a tile of
+the result in vector registers: 8 rows by 16 columns with AVX-512, 4 by 8
+with AVX2 and 4 by 4 with SSE2.  When the library loads, ``pinned_matmul``
+resolves to the widest path the CPU runs; all three give the same bits.
+``matvec`` and ``dot`` go through BLAS; they repeat bit for bit at a fixed
+BLAS thread count, and the benchmark runs them at one thread.
 
 The kernel needs a C compiler on the path as ``cc``.  The first import
 compiles it into ``__pycache__/_pinned.<key>.so`` beside this file, where the
@@ -66,9 +69,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def load_kernel(cache_dir: str):
-    """The pinned-order product ``pinned_matmul`` from ``_pinned.c``, loaded
-    from ``cache_dir`` and compiled there first if it is not cached yet.
+def load_kernel(cache_dir: str, name: str = "pinned_matmul"):
+    """The pinned-order product ``name`` from ``_pinned.c``, loaded from
+    ``cache_dir`` and compiled there first if it is not cached yet.
+    ``pinned_matmul`` is the widest path the CPU runs; ``pinned_matmul_avx512``,
+    ``pinned_matmul_avx2`` and ``pinned_matmul_sse2`` name one path each, and
+    calling one the CPU lacks kills the process with an illegal instruction.
 
     A cached library is found by name alone, ``_pinned.<key>.so`` with key
     the SHA-256 of the source and the compile command.  A miss runs the
@@ -84,7 +90,7 @@ def load_kernel(cache_dir: str):
     except OSError:
         _build(path)
         lib = ctypes.CDLL(path)
-    kernel = lib.pinned_matmul
+    kernel = getattr(lib, name)
     kernel.argtypes = (ctypes.c_void_p, _SSIZE, _SSIZE, ctypes.c_void_p, ctypes.c_void_p,
                        _SSIZE, _SSIZE, _SSIZE)
     kernel.restype = None
@@ -143,11 +149,12 @@ def matmul(a, b) -> np.ndarray:
     Entry (i, j) starts at 0.0 and takes acc = acc + a[i, k] * b[k, j] for k
     ascending, one rounded multiply and one rounded add per term, exactly
     like the scalar triple loop with the inner loop over k.  The kernel
-    (``_pinned.c``) holds tiles of C in vector registers, 4 rows by 8
-    columns with AVX2 or by 4 columns with SSE2, whichever the CPU has when
-    the library loads; its vectors span output entries, never k, and it is
-    compiled with ``-ffp-contract=off``, so no term fuses a multiply-add.  A
-    test fails if one does.
+    (``_pinned.c``) holds tiles of C in vector registers: 8 rows by 16
+    columns with AVX-512, 4 rows by 8 columns with AVX2 or 4 rows by 4
+    columns with SSE2, the widest the CPU has when the library loads.  Its
+    vectors span output entries, never k, and it is compiled with
+    ``-ffp-contract=off``, so no term fuses a multiply-add.  Tests fail if
+    one does, or if any path's bits differ from the triple loop's.
 
     a may be a view in any layout (a ``.T`` view instead of a transposed
     copy): the kernel reads it through its strides.  b is copied only when it

@@ -1,5 +1,7 @@
+import ctypes
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -36,6 +38,76 @@ from oracles import (
 
 # An overflow inside an oracle would otherwise scroll past as a warning.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _cpu_flags() -> set[str]:
+    with open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    return set()
+
+
+_CPU_FLAGS = _cpu_flags()
+_CACHE = os.path.join(os.path.dirname(linalg.__file__), "__pycache__")
+
+
+@pytest.fixture(scope="module", params=[("avx512", "avx512f"), ("avx2", "avx2"), ("sse2", "sse2")],
+                ids=["avx512", "avx2", "sse2"])
+def path(request):
+    """Each of the kernel's paths by its own symbol, whichever one the CPU's
+    resolver picks for ``matmul``; a path whose instructions the CPU lacks
+    is skipped, since calling it would kill the process."""
+    name, feature = request.param
+    if feature not in _CPU_FLAGS:
+        pytest.skip(f"this CPU lacks {feature} (not among /proc/cpuinfo's flags), "
+                    f"so the {name} path cannot run here")
+    return linalg.load_kernel(_CACHE, f"pinned_matmul_{name}")
+
+
+def _through(kernel, a, b):
+    """matmul(a, b) with ``kernel`` in place of the resolver's pick."""
+    saved, linalg._kernel = linalg._kernel, kernel
+    try:
+        return matmul(a, b)
+    finally:
+        linalg._kernel = saved
+
+
+# "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" an exactly
+# symmetric operand read as a .T view; the kernel reads both through their
+# strides.  130 x 33 x 131 leaves a row tail and a column tail.  One entry in
+# 16 of each operand is a signed zero.
+_WORKLOAD_SHAPES = [
+    pytest.param(*case, id="-".join(str(x) for x in case if x is not None)) for case in (
+        (256, 256, 32, None), (256, 32, 256, None), (32, 256, 256, None),
+        (128, 128, 128, None), (256, 256, 1, None),
+        (256, 256, 32, "W.T"), (256, 256, 32, "l_inv.T"), (128, 128, 32, "l_inv.T"),
+        (130, 33, 131, "W.T"),
+    )
+]
+
+
+def _workload_operands(m, k, n, view):
+    """(a, b) at a workload shape, a in the layout ``view`` names, and the
+    column loop's a b."""
+    rng = make_rng(m * 7 + k * 3 + n)
+
+    def draw(shape):
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-9.0, 9.0, shape))
+        x[rng.uniform(size=shape) < 1.0 / 32] = 0.0
+        x[rng.uniform(size=shape) < 1.0 / 32] = -0.0
+        return x
+
+    if view == "W.T":
+        operand = draw((k, m)).T
+    elif view == "l_inv.T":
+        upper = np.triu(draw((m, k)))
+        operand = (upper + np.triu(upper, 1).T).T
+    else:
+        operand = draw((m, k))
+    b = draw((k, n))
+    return operand, b, matmul_columns(np.ascontiguousarray(operand), b)
 
 
 class TestMatmul:
@@ -79,53 +151,29 @@ class TestMatmul:
 
     # x*y = 1 - 2**-60 rounds to 1, so -1*1 + x*y is 0 with a rounded multiply
     # and -2**-60 under a fused multiply-add.  The 1 x 2 product reaches the
-    # kernel's one-column tail; the 4 x 8 one fills a whole vector tile.
+    # kernel's one-column tail; the 4 x 8 one fills a whole AVX2 tile and the
+    # 8 x 16 one a whole AVX-512 tile.
     def test_no_fused_multiply_add(self):
         x, y = 1.0 + 2.0**-30, 1.0 - 2.0**-30
-        for rows, cols in ((1, 2), (4, 8)):
+        for rows, cols in ((1, 2), (4, 8), (8, 16)):
             got = matmul(np.tile([[-1.0, x]], (rows, 1)), np.tile([[1.0], [y]], (1, cols)))
             assert np.array_equal(got, np.zeros((rows, cols))), (
                 f"the pinned matmul kernel fuses multiply-add on this build "
                 f"(got {got.tolist()}), so matmul no longer matches the triple loop"
             )
 
-    # "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" an
-    # exactly symmetric operand read as a .T view; the kernel reads both
-    # through their strides.  130 x 33 x 131 leaves a row tail and a column
-    # tail.  One entry in 16 of each operand is a signed zero.
-    @pytest.mark.parametrize("m,k,n,view", [
-        pytest.param(*case, id="-".join(str(x) for x in case if x is not None)) for case in (
-            (256, 256, 32, None), (256, 32, 256, None), (32, 256, 256, None),
-            (128, 128, 128, None), (256, 256, 1, None),
-            (256, 256, 32, "W.T"), (256, 256, 32, "l_inv.T"), (128, 128, 32, "l_inv.T"),
-            (130, 33, 131, "W.T"),
-        )
-    ])
+    @pytest.mark.parametrize("m,k,n,view", _WORKLOAD_SHAPES)
     def test_workload_shapes_match_the_column_loop_bitwise(self, m, k, n, view):
-        rng = make_rng(m * 7 + k * 3 + n)
-
-        def draw(shape):
-            x = rng.standard_normal(shape) * np.exp(rng.uniform(-9.0, 9.0, shape))
-            x[rng.uniform(size=shape) < 1.0 / 32] = 0.0
-            x[rng.uniform(size=shape) < 1.0 / 32] = -0.0
-            return x
-
-        if view == "W.T":
-            operand = draw((k, m)).T
-        elif view == "l_inv.T":
-            upper = np.triu(draw((m, k)))
-            operand = (upper + np.triu(upper, 1).T).T
-        else:
-            operand = draw((m, k))
-        b = draw((k, n))
-        want = matmul_columns(np.ascontiguousarray(operand), b)
-        got = matmul(operand, b)
+        a, b, want = _workload_operands(m, k, n, view)
+        got = matmul(a, b)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
 
 # Entries up to 1e150 keep every sum of up to 12 products below 1.8e308, so no
-# draw overflows; the strategy reaches subnormals and signed zeros.
+# draw overflows; the strategy reaches subnormals and signed zeros.  Up to 20
+# rows and 40 columns reach whole 8 x 16 tiles, a row remainder and a
+# column tail on every path.
 _ENTRY = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-150, 1e150]),
     st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
@@ -136,7 +184,7 @@ _ENTRY = st.one_of(
 def _operands(draw):
     """(a, b); each is drawn either C-ordered or as the .T view of its
     transpose (Fortran-ordered), as callers pass them."""
-    m, k, n = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    m, k, n = draw(st.integers(1, 20)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
 
     def operand(rows, cols):
         if draw(st.booleans()):
@@ -159,6 +207,43 @@ def test_matmul_matches_the_triple_loop_byte_for_byte(operands):
     got = matmul(a, b)
     assert got.flags.c_contiguous
     assert got.tobytes() == matmul_loops(a, b).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(operands=_operands())
+def test_each_path_matches_the_triple_loop_byte_for_byte(path, operands):
+    a, b = operands
+    assert _through(path, a, b).tobytes() == matmul_loops(a, b).tobytes()
+
+
+class TestKernelPaths:
+    @pytest.mark.parametrize("m,k,n,view", _WORKLOAD_SHAPES)
+    def test_workload_shapes_match_the_column_loop_bitwise(self, path, m, k, n, view):
+        a, b, want = _workload_operands(m, k, n, view)
+        assert _through(path, a, b).tobytes() == want.tobytes()
+
+    def test_matmul_runs_the_avx512_path_on_a_cpu_with_avx512f(self):
+        if "avx512f" not in _CPU_FLAGS:
+            pytest.skip("this CPU lacks avx512f (not among /proc/cpuinfo's flags)")
+
+        def address(kernel):
+            return ctypes.cast(kernel, ctypes.c_void_p).value
+
+        assert address(linalg._kernel) == address(linalg.load_kernel(_CACHE, "pinned_matmul_avx512"))
+
+    # The FMA canary in TestMatmul runs only the path this CPU picks; the
+    # disassembly covers all three.
+    def test_no_path_holds_a_fused_multiply_add_instruction(self, tmp_path):
+        if shutil.which("objdump") is None:
+            pytest.skip("objdump is not on the PATH, so the built kernel cannot be disassembled")
+        linalg.load_kernel(str(tmp_path))
+        [name] = os.listdir(tmp_path)
+        listing = subprocess.run(["objdump", "-d", str(tmp_path / name)], capture_output=True,
+                                 text=True, check=True).stdout
+        for path_name in ("pinned_matmul_avx512", "pinned_matmul_avx2", "pinned_matmul_sse2"):
+            assert f"<{path_name}>:" in listing
+        fused = re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", listing)
+        assert not fused, f"the built kernel holds fused multiply-adds: {sorted(set(fused))}"
 
 
 class TestKernelLoader:

@@ -805,10 +805,14 @@ def test_kfac_preconditions_each_layer_once_per_step(monkeypatch):
     assert result.workers_identical
 
 
-# precondition reads L^-1 as l_inv.T, which is L^-1 only while every factor
-# write leaves the inverses exactly symmetric: the rank-1 refresh, with the
-# stabilizer firing on every write (epsilon_norm=0.5) or never, its fp16-comm
-# inputs, and KFAC's inverse of the workers' reduced covariance.
+# The factor inverses stand for inverses of symmetric covariances, so
+# L^-1 W_grad R^-1 applies a symmetric (Kronecker-factored) preconditioner
+# only while both are exactly symmetric; the next refresh also forms
+# F^-1 v v^T F^-1 as u u^T with u = F^-1 v, which is that product only for a
+# symmetric F^-1.  So every factor write must leave the inverses exactly
+# symmetric: the rank-1 refresh, with the stabilizer firing on every write
+# (epsilon_norm=0.5) or never, its fp16-comm inputs, and KFAC's inverse of the
+# workers' reduced covariance.
 @pytest.mark.parametrize(
     "overrides, fires",
     [(["optimizer=mkor"], False), (["optimizer=mkor", "epsilon_norm=0.5"], True),
