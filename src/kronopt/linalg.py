@@ -4,29 +4,19 @@ This is the only numeric substrate the rest of the package uses.  Matrices
 are 2-D float64 arrays, vectors are 1-D float64 arrays.  ``matmul`` takes
 views in any layout, so callers pass ``x.T`` rather than a transposed copy,
 and returns a new C-contiguous (row-major) matrix.  The summation-order
-sensitive kernels are pinned: ``matmul`` and ``mean_columns`` run one small C
-kernel (``_pinned.c``) that gives entry (i, j) the scalar triple loop's work,
-one rounded multiply and one rounded add per term for the contracted index
-ascending, so their results are bit-identical to that loop.  The kernel's
-vectors span output entries only, and it is compiled without contraction, so
-no multiply-add is ever fused.  It has three paths, each holding a tile of
-the result in vector registers: 8 rows by 16 columns with AVX-512, 4 by 8
-with AVX2 and 4 by 4 with SSE2.  When the library loads, ``pinned_matmul``
-resolves to the widest path the CPU runs; all three give the same bits.
+sensitive kernels are pinned: ``matmul``, ``gram``, ``mean_columns``,
+``cholesky`` and ``direct_inverse`` run one small C library (``_pinned.c``)
+that gives each entry the scalar loop's work, one rounded multiply and one
+rounded add per term in a fixed ascending order, so their results are
+bit-identical to that loop.  Its vectors span output entries only, and it is
+compiled without contraction, so no multiply-add is ever fused.  Each entry
+point has an AVX-512, an AVX2 and an SSE2 path; when the library loads, each
+resolves to the widest one the CPU runs, and all three give the same bits.
 ``matvec`` and ``dot`` go through BLAS; they repeat bit for bit at a fixed
 BLAS thread count, and the benchmark runs them at one thread.
 
-The kernel needs a C compiler on the path as ``cc``.  The first import
-compiles it into ``__pycache__/_pinned.<key>.so`` beside this file, where the
-key is the SHA-256 of the source and the compile command, so a binary built
-from other source or other flags never matches; later imports only hash the
-source and load the cached library.
-
-The one inverse, ``direct_inverse``, takes symmetric positive-definite input
-through ``cholesky``, and its final X^T X through ``matmul`` is exactly
-symmetric.  The factor and the substitution use BLAS gemv, which repeats bit
-for bit at one thread; writing them here pins their failure down to one named
-column.  The test suite checks both against independent oracles.
+The library needs a C compiler on the path as ``cc``: the first import
+compiles it into ``__pycache__`` beside this file (see :func:`_library`).
 
 No sparse formats, no complex numbers, no BLAS bindings beyond numpy's
 elementwise kernels, matrix-vector and dot products.
@@ -34,7 +24,9 @@ elementwise kernels, matrix-vector and dot products.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 
@@ -44,7 +36,12 @@ from . import counters
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pinned.c")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_SSIZE = ctypes.c_ssize_t
+_P, _S = ctypes.c_void_p, ctypes.c_ssize_t
+# (restype, argtypes) of each entry point; an instance adds _avx512, _avx2 or _sse2
+_ENTRIES = {"pinned_matmul": (None, (_P, _S, _S, _P, _P, _S, _S, _S)),
+            "pinned_gram": (None, (_P, _S, _S, _P, _P, _S, _S)),
+            "pinned_cholesky": (_S, (_P, _P, _S, _S)),
+            "pinned_tril_inverse": (None, (_P, _S, _S, _P, _S, _S))}
 
 
 class LinalgError(Exception):
@@ -70,34 +67,33 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def load_kernel(cache_dir: str, name: str = "pinned_matmul"):
-    """The pinned-order product ``name`` from ``_pinned.c``, loaded from
-    ``cache_dir`` and compiled there first if it is not cached yet.
-    ``pinned_matmul`` is the widest path the CPU runs; ``pinned_matmul_avx512``,
-    ``pinned_matmul_avx2`` and ``pinned_matmul_sse2`` name one path each, and
-    calling one the CPU lacks kills the process with an illegal instruction.
+    """Entry point ``name`` of ``_pinned.c``: one of ``_ENTRIES`` (the widest
+    path the CPU runs) or, with ``_avx512``, ``_avx2`` or ``_sse2`` added, one
+    path, which kills the process on a CPU that lacks it."""
+    kernel = getattr(_library(cache_dir), name)
+    kernel.restype, kernel.argtypes = _ENTRIES.get(name) or _ENTRIES[name.rsplit("_", 1)[0]]
+    return kernel
 
-    A cached library is found by name alone, ``_pinned.<key>.so`` with key
-    the SHA-256 of the source and the compile command.  A miss runs the
-    compiler into a temporary name and moves the result into place, so a
-    reader never sees a half-written library.  A failed compile raises
-    RuntimeError naming the command and the compiler's message.
-    """
+
+@functools.cache
+def _library(cache_dir: str) -> ctypes.CDLL:
+    """``cache_dir/_pinned.<key>.so``, key the SHA-256 of the source and the
+    compile command, so no binary of other source or flags matches; loaded
+    once per process.  A miss compiles into a temporary name and moves it
+    into place, so no reader sees half a library, then removes the other
+    keys' libraries; a failed compile raises RuntimeError naming the command."""
     with open(_SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read() + b"\0" + " ".join(_COMPILE).encode()).hexdigest()
     path = os.path.join(cache_dir, f"_pinned.{key}.so")
     try:
-        lib = ctypes.CDLL(path)
+        return ctypes.CDLL(path)
     except OSError:
         _build(path)
-        lib = ctypes.CDLL(path)
-    kernel = getattr(lib, name)
-    kernel.argtypes = (ctypes.c_void_p, _SSIZE, _SSIZE, ctypes.c_void_p, ctypes.c_void_p,
-                       _SSIZE, _SSIZE, _SSIZE)
-    kernel.restype = None
-    return kernel
+        return ctypes.CDLL(path)
 
 
 def _build(path: str) -> None:
+    import fnmatch
     import subprocess  # a cache hit starts no process, so it imports none
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -108,14 +104,17 @@ def _build(path: str) -> None:
     except OSError as exc:
         raise RuntimeError(f"cannot run the C compiler: {' '.join(cmd)}: {exc}") from exc
     if done.returncode != 0:
-        raise RuntimeError(
-            f"compiling the matmul kernel failed (exit {done.returncode}): "
-            f"{' '.join(cmd)}\n{done.stderr}"
-        )
+        raise RuntimeError(f"compiling the pinned kernels failed (exit {done.returncode}): "
+                           f"{' '.join(cmd)}\n{done.stderr}")
     os.replace(tmp, path)
+    folder, built = os.path.split(path)
+    for name in set(fnmatch.filter(os.listdir(folder), "_pinned.*.so")) - {built}:
+        with contextlib.suppress(FileNotFoundError):  # another process's build removed it
+            os.remove(os.path.join(folder, name))
 
 
-_kernel = load_kernel(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+_kernel, _gram, _cholesky, _tril_inverse = (load_kernel(_CACHE, name) for name in _ENTRIES)
 
 
 def _operand(a) -> np.ndarray:
@@ -147,14 +146,9 @@ def matmul(a, b) -> np.ndarray:
     """Matrix product with pinned summation order.
 
     Entry (i, j) starts at 0.0 and takes acc = acc + a[i, k] * b[k, j] for k
-    ascending, one rounded multiply and one rounded add per term, exactly
-    like the scalar triple loop with the inner loop over k.  The kernel
-    (``_pinned.c``) holds tiles of C in vector registers: 8 rows by 16
-    columns with AVX-512, 4 rows by 8 columns with AVX2 or 4 rows by 4
-    columns with SSE2, the widest the CPU has when the library loads.  Its
-    vectors span output entries, never k, and it is compiled with
-    ``-ffp-contract=off``, so no term fuses a multiply-add.  Tests fail if
-    one does, or if any path's bits differ from the triple loop's.
+    ascending, exactly like the scalar triple loop with the inner loop over
+    k.  The kernel holds tiles of C in vector registers: 8 rows by 16 columns
+    with AVX-512, 4 by 8 with AVX2 or 4 by 4 with SSE2.
 
     a may be a view in any layout (a ``.T`` view instead of a transposed
     copy): the kernel reads it through its strides.  b is copied only when it
@@ -246,47 +240,51 @@ def mean_columns(m) -> np.ndarray:
     return _pinned(m, np.ones((cols, 1)))[:, 0] / float(cols)
 
 
-def direct_inverse(m) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix, itself exactly symmetric.
+def gram(x) -> np.ndarray:
+    """x x^T, bitwise ``matmul(x, x.T)`` and exactly symmetric: the kernel sums
+    the triangle on and above the diagonal, k m (m + 1) flops for x of m x k,
+    and mirrors it, since IEEE multiplication commutes."""
+    x = _operand(x)
+    m, k = x.shape
+    counters.add_flops(float(k * m * (m + 1)))
+    xt = np.ascontiguousarray(x.T)
+    c = np.empty((m, m), dtype=np.float64)
+    _gram(x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8, xt.ctypes.data, c.ctypes.data,
+          m, k)
+    return c
 
-    With M = C C^T from :func:`cholesky`, M^-1 = X^T X for X = C^-1, which
-    forward substitution builds one row at a time.  Counted as n^3/3 for the
-    factor, n^3/3 for the substitution and 2n^3 for X^T X.
-    """
+
+def direct_inverse(m) -> np.ndarray:
+    """Inverse of a symmetric positive-definite M, itself exactly symmetric:
+    with M = C C^T from :func:`cholesky`, M^-1 is the :func:`gram` X^T X of
+    X = C^-1, x[i, i] = 1 / c[i, i] and x[i, j] = -(sum_{p=j}^{i-1} c[i, p]
+    x[p, j]) / c[i, i] below the diagonal, counted at n^3/3."""
     c = cholesky(m)
     n = c.shape[0]
-    x = np.zeros_like(c)
-    for i in range(n):
-        x[i, :i] = -(c[i, :i] @ x[:i, :i]) / c[i, i]
-        x[i, i] = 1.0 / c[i, i]
+    x = np.empty((n, c.strides[1] // 8), dtype=np.float64)  # cholesky's padded rows
+    _tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n,
+                  x.shape[1])
     counters.add_flops(n * n * n / 3.0)
-    return matmul(x.T, x)
+    return gram(x[:, :n].T)
 
 
 def cholesky(m) -> np.ndarray:
-    """Lower-triangular C with C @ C.T ~= M for an exactly symmetric M.
-
-    Asymmetric input raises :class:`LinalgError`; it is never averaged with
-    its transpose.  A non-positive or non-finite pivot means "not
-    positive-definite within tolerance" and raises :class:`SingularMatrix`
-    naming the pivot and its column.
-    """
+    """Lower-triangular C with C @ C.T ~= M for an exactly symmetric M (else
+    :class:`LinalgError`), the transposed view of the kernel's C^T, counted at
+    n^3/3.  A pivot that is not positive and finite, where any NaN or infinity
+    in M ends, raises :class:`SingularMatrix` naming it and its column."""
     m = as_matrix(m)
     n = m.shape[0]
     if m.shape[1] != n:
         raise DimensionMismatch(f"cholesky: non-square {m.shape}")
     if not np.array_equal(m, m.T, equal_nan=True):  # a NaN fails as a pivot below
         raise LinalgError("cholesky: input is not exactly symmetric")
-    c = np.zeros_like(m)
-    for j in range(n):
-        d = m[j, j] - float(np.dot(c[j, :j], c[j, :j]))
-        if not np.isfinite(d) or d <= 0.0:
-            raise SingularMatrix(f"not positive-definite: pivot {d:.3e} at column {j}")
-        c[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            c[j + 1 :, j] = (m[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / c[j, j]
+    u = np.empty((n, -(-n // 16) * 16), dtype=np.float64)  # rows padded to whole 16-wide tiles
+    j = _cholesky(m.ctypes.data, u.ctypes.data, n, u.shape[1])
+    if j >= 0:
+        raise SingularMatrix(f"not positive-definite: pivot {u[j, j]:.3e} at column {j}")
     counters.add_flops(n * n * n / 3.0)
-    return c
+    return u[:, :n].T
 
 
 def power_iteration(m, iters: int = 1000, tol: float = 1e-12) -> tuple[float, np.ndarray]:

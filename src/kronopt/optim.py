@@ -277,8 +277,8 @@ def kfac_accumulate(state: KfacState, capture: LayerCapture, gamma: float) -> No
     """Momentum update of the full covariance factors from one batch."""
     b = capture.a_prev.shape[1]
     with counters.phase("factor_update"):
-        l_new = scale(matmul(capture.g, capture.g.T), 1.0 / b)
-        r_new = scale(matmul(capture.a_prev, capture.a_prev.T), 1.0 / b)
+        l_new = scale(linalg.gram(capture.g), 1.0 / b)
+        r_new = scale(linalg.gram(capture.a_prev), 1.0 / b)
         state.l_cov = add(scale(state.l_cov, gamma), scale(l_new, 1.0 - gamma))
         state.r_cov = add(scale(state.r_cov, gamma), scale(r_new, 1.0 - gamma))
 
@@ -305,7 +305,7 @@ def sngd_precondition(captures: list[LayerCapture], mu: float) -> list[np.ndarra
         a, g, grad = cap.a_prev, cap.g, cap.w_grad
         b = a.shape[1]
         with counters.phase("factor_update"):
-            kern = matmul(a.T, a) * matmul(g.T, g)
+            kern = linalg.gram(a.T) * linalg.gram(g.T)
             counters.add_flops(float(kern.size))
         with counters.phase("inversion"):
             kinv = linalg.direct_inverse(add(kern, scale(identity(b), mu)))

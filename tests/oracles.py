@@ -51,6 +51,46 @@ def mean_columns_loops(m):
     return np.array(out)
 
 
+def cholesky_loops(m):
+    """Lower-triangular C with C C^T = M, one scalar at a time: entry (i, j) is
+    (m[i,j] - sum_{p<j} c[i,p] c[j,p]) / c[j,j] and pivot j is
+    m[j,j] - sum_{p<j} c[j,p] c[j,p], each sum from 0.0 with p ascending, and
+    c[j,j] is the pivot's square root.  A pivot that is not positive and
+    finite raises ``ArithmeticError(column, pivot)``."""
+    n = len(m)
+    c = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        acc = 0.0
+        for p in range(j):
+            acc += c[j][p] * c[j][p]
+        pivot = float(m[j][j]) - acc
+        if not 0.0 < pivot < math.inf:
+            raise ArithmeticError(j, pivot)
+        c[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            acc = 0.0
+            for p in range(j):
+                acc += c[i][p] * c[j][p]
+            c[i][j] = (float(m[i][j]) - acc) / c[j][j]
+    return np.array(c)
+
+
+def tril_inverse_loops(c):
+    """X = C^-1 for lower-triangular C, one scalar at a time: x[i,i] = 1/c[i,i]
+    and x[i,j] = -(sum_{p=j}^{i-1} c[i,p] x[p,j]) / c[i,i] for j < i, the sum
+    from 0.0 with p ascending; +0.0 above the diagonal."""
+    n = len(c)
+    x = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            acc = 0.0
+            for p in range(j, i):
+                acc += float(c[i][p]) * x[p][j]
+            x[i][j] = -acc / float(c[i][i])
+        x[i][i] = 1.0 / float(c[i][i])
+    return np.array(x)
+
+
 def jacobi_eigenvalues(m, sweeps: int = 50, tol: float = 1e-13) -> np.ndarray:
     """Eigenvalues, ascending, of a symmetric matrix by cyclic Jacobi rotations.
 

@@ -1,4 +1,7 @@
+import contextlib
 import ctypes
+import functools
+import json
 import os
 import re
 import shutil
@@ -11,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kronopt import linalg
+from kronopt import counters, linalg
 from kronopt.analysis import make_spd
 from kronopt.linalg import (
     DimensionMismatch,
     SingularMatrix,
     cholesky,
     direct_inverse,
+    gram,
     inf_norm,
     make_rng,
     matmul,
@@ -28,12 +32,14 @@ from kronopt.linalg import (
 )
 
 from oracles import (
+    cholesky_loops,
     jacobi_eigenvalues,
     matmul_columns,
     matmul_loops,
     mean_columns_loops,
     rank_via_minors,
     random_spd,
+    tril_inverse_loops,
 )
 
 # An overflow inside an oracle would otherwise scroll past as a warning.
@@ -52,26 +58,46 @@ _CPU_FLAGS = _cpu_flags()
 _CACHE = os.path.join(os.path.dirname(linalg.__file__), "__pycache__")
 
 
+_ENTRY_POINTS = {"matmul": "_kernel", "gram": "_gram", "cholesky": "_cholesky",
+                 "tril_inverse": "_tril_inverse"}
+
+
 @pytest.fixture(scope="module", params=[("avx512", "avx512f"), ("avx2", "avx2"), ("sse2", "sse2")],
                 ids=["avx512", "avx2", "sse2"])
 def path(request):
-    """Each of the kernel's paths by its own symbol, whichever one the CPU's
-    resolver picks for ``matmul``; a path whose instructions the CPU lacks
-    is skipped, since calling it would kill the process."""
+    """Each of the kernels' paths by name, whichever one the CPU's resolver
+    picks; a path whose instructions the CPU lacks is skipped, since calling
+    it would kill the process."""
     name, feature = request.param
     if feature not in _CPU_FLAGS:
         pytest.skip(f"this CPU lacks {feature} (not among /proc/cpuinfo's flags), "
                     f"so the {name} path cannot run here")
-    return linalg.load_kernel(_CACHE, f"pinned_matmul_{name}")
+    return name
 
 
-def _through(kernel, a, b):
-    """matmul(a, b) with ``kernel`` in place of the resolver's pick."""
-    saved, linalg._kernel = linalg._kernel, kernel
+@functools.cache
+def _instances(path):
+    return {slot: linalg.load_kernel(_CACHE, f"pinned_{entry}_{path}")
+            for entry, slot in _ENTRY_POINTS.items()}
+
+
+@contextlib.contextmanager
+def _on(path):
+    """linalg with every entry point's ``path`` instance in place of the
+    resolver's pick."""
+    saved = {slot: getattr(linalg, slot) for slot in _ENTRY_POINTS.values()}
     try:
-        return matmul(a, b)
+        for slot, kernel in _instances(path).items():
+            setattr(linalg, slot, kernel)
+        yield
     finally:
-        linalg._kernel = saved
+        for slot, kernel in saved.items():
+            setattr(linalg, slot, kernel)
+
+
+def _through(path, a, b):
+    with _on(path):
+        return matmul(a, b)
 
 
 # "W.T" is backward's W^T g with W passed as a .T view, "l_inv.T" an exactly
@@ -232,7 +258,7 @@ class TestKernelPaths:
         assert address(linalg._kernel) == address(linalg.load_kernel(_CACHE, "pinned_matmul_avx512"))
 
     # The FMA canary in TestMatmul runs only the path this CPU picks; the
-    # disassembly covers all three.
+    # disassembly covers all three, for every entry point.
     def test_no_path_holds_a_fused_multiply_add_instruction(self, tmp_path):
         if shutil.which("objdump") is None:
             pytest.skip("objdump is not on the PATH, so the built kernel cannot be disassembled")
@@ -240,10 +266,137 @@ class TestKernelPaths:
         [name] = os.listdir(tmp_path)
         listing = subprocess.run(["objdump", "-d", str(tmp_path / name)], capture_output=True,
                                  text=True, check=True).stdout
-        for path_name in ("pinned_matmul_avx512", "pinned_matmul_avx2", "pinned_matmul_sse2"):
-            assert f"<{path_name}>:" in listing
+        for entry in _ENTRY_POINTS:
+            for path_name in ("avx512", "avx2", "sse2"):
+                assert f"<pinned_{entry}_{path_name}>:" in listing
         fused = re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", listing)
         assert not fused, f"the built kernel holds fused multiply-adds: {sorted(set(fused))}"
+
+
+@st.composite
+def _gram_operands(draw):
+    """x of m x k, drawn C-ordered or as the .T view of its transpose."""
+    m, k = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (k, m), elements=_ENTRY)).T
+    return draw(arrays(np.float64, (m, k), elements=_ENTRY))
+
+
+# Up to 40 rows reach whole 8-row tiles, row remainders and the diagonal
+# tiles of every path, and m % 16 != 0 leaves a column tail.
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(x=_gram_operands())
+@example(x=np.array([[1.0], [-0.0], [3e-320], [1e150], [-2.5]]))  # k = 1
+@example(x=np.arange(17 * 3, dtype=np.float64).reshape(3, 17).T - 20.0)  # m = 17, a .T view
+def test_each_path_gram_is_the_triple_loops_x_xt_byte_for_byte(path, x):
+    with _on(path):
+        got = gram(x)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == matmul_loops(x, x.T).tobytes()
+
+
+# g g^T and a a^T as kfac_accumulate forms them, and a^T a as
+# sngd_precondition does (a .T view); 130 x 33 leaves every tail.
+@pytest.mark.parametrize("m,k,view", [(128, 32, None), (256, 32, None), (128, 32, "a.T"),
+                                      (130, 33, None), (1, 32, None), (33, 1, "a.T")])
+def test_each_path_gram_is_matmul_of_x_and_its_transpose_at_workload_shapes(path, m, k, view):
+    rng = make_rng(m * 3 + k)
+    x = rng.standard_normal((k, m)).T if view else rng.standard_normal((m, k))
+    x[rng.uniform(size=x.shape) < 1.0 / 16] = -0.0
+    with _on(path):
+        assert gram(x).tobytes() == matmul(x, x.T).tobytes()
+
+
+def test_gram_counts_one_multiply_and_one_add_per_term_of_the_triangle():
+    tally = dict.fromkeys(counters.PHASES, 0.0)
+    with counters.recording(tally):
+        gram(np.ones((5, 3)))
+    assert tally["other"] == 3 * 5 * 6
+
+
+def _diagonally_dominant(n, seed):
+    """An exactly symmetric, diagonally dominant (so positive-definite) M of
+    order n whose off-diagonal entries span six decades; one pair in 8 is
+    +0.0 and one in 8 is -0.0, and so is the pair (n-1, 0), which makes
+    c[n-1, 0] = -0.0."""
+    rng = make_rng(seed)
+    m = rng.standard_normal((n, n)) * np.exp(rng.uniform(-7.0, 7.0, (n, n)))
+    draw = rng.uniform(size=(n, n))
+    m[draw < 1.0 / 8] = 0.0
+    m[(draw >= 1.0 / 8) & (draw < 1.0 / 4)] = -0.0
+    lower = np.tril_indices(n, -1)
+    m[0, n - 1] = -0.0
+    m[lower] = m.T[lower]
+    m[np.diag_indices(n)] = np.sum(np.abs(m), axis=1) + 1.0
+    return m
+
+
+def _tril_inverse(c):
+    """X = C^-1 for a lower-triangular C in any layout, through the kernel
+    that ``direct_inverse`` runs, into rows padded as it pads them."""
+    n = c.shape[0]
+    x = np.empty((n, -(-n // 16) * 16))
+    linalg._tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n,
+                         x.shape[1])
+    return np.ascontiguousarray(x[:, :n])
+
+
+# Orders 1 to 40 reach one-row panels, whole 8- and 4-row panels with a
+# remainder, and every path's 16-, 8- and 4-wide tiles with partial ones.
+_ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 33, 40]
+
+
+class TestTriangularKernels:
+    @pytest.mark.parametrize("n", _ORDERS)
+    def test_each_path_factors_like_the_scalar_loops_byte_for_byte(self, path, n):
+        m = _diagonally_dominant(n, n)
+        with _on(path):
+            got = cholesky(m)
+        assert np.ascontiguousarray(got).tobytes() == cholesky_loops(m).tobytes()
+
+    @pytest.mark.parametrize("n", _ORDERS)
+    def test_each_path_inverts_a_triangle_like_the_scalar_loops_byte_for_byte(self, path, n):
+        rng = make_rng(100 + n)
+        c = np.tril(rng.standard_normal((n, n)) * np.exp(rng.uniform(-3.0, 3.0, (n, n))), -1)
+        c[np.tril(rng.uniform(size=(n, n)) < 1.0 / 8, -1)] = -0.0
+        c[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
+        want = tril_inverse_loops(c).tobytes()
+        with _on(path):
+            for layout in (c, np.asfortranarray(c)):  # cholesky returns the second
+                assert _tril_inverse(layout).tobytes() == want
+
+    @pytest.mark.parametrize("n", [1, 9, 17, 40])
+    def test_each_path_inverts_like_the_scalar_loops_byte_for_byte(self, path, n):
+        m = _diagonally_dominant(n, 7 * n)
+        x = tril_inverse_loops(cholesky_loops(m))
+        with _on(path):
+            got = direct_inverse(m)
+        assert got.tobytes() == matmul_loops(x.T, x).tobytes()
+
+    def test_each_path_factors_and_inverts_at_the_workload_order(self, path):
+        m = random_spd(make_rng(128), 128)
+        c = cholesky_loops(m)
+        with _on(path):
+            assert np.ascontiguousarray(cholesky(m)).tobytes() == c.tobytes()
+            assert _tril_inverse(c).tobytes() == tril_inverse_loops(c).tobytes()
+
+    # Each input fails as a named pivot: a bad diagonal entry at its own
+    # column, a bad off-diagonal entry (i, j) at column i, where the square
+    # of c[i, j] enters the pivot.
+    @pytest.mark.parametrize("where, value", [
+        ((5, 5), np.nan), ((7, 3), np.nan), ((4, 4), np.inf), ((0, 0), -np.inf),
+        ((9, 2), np.inf), ((11, 10), -np.inf), ((1, 0), np.nan),
+    ])
+    def test_each_path_fails_a_non_finite_input_at_the_scalar_loops_pivot(self, path, where, value):
+        m = _diagonally_dominant(12, 3)
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(ArithmeticError) as oracle:
+            cholesky_loops(m)
+        column, pivot = oracle.value.args
+        assert column == where[0]
+        with _on(path), pytest.raises(SingularMatrix) as exc:
+            cholesky(m)
+        assert str(exc.value) == f"not positive-definite: pivot {pivot:.3e} at column {column}"
 
 
 class TestKernelLoader:
@@ -266,6 +419,13 @@ class TestKernelLoader:
         kernel(a.ctypes.data, 256, 1, b.ctypes.data, c.ctypes.data, 256, 256, 32)
         assert c.tobytes() == matmul(a, b).tobytes()
 
+    def test_a_build_removes_the_libraries_of_other_keys(self, tmp_path):
+        stale = tmp_path / f"_pinned.{'0' * 64}.so"
+        stale.write_bytes(b"built from another _pinned.c")
+        linalg.load_kernel(str(tmp_path))
+        [name] = os.listdir(tmp_path)
+        assert re.fullmatch(r"_pinned\.[0-9a-f]{64}\.so", name) and name != stale.name
+
     def test_a_compiler_failure_names_the_command_and_its_message(self, tmp_path, monkeypatch):
         def fails(cmd, **kwargs):
             return subprocess.CompletedProcess(cmd, 1, "", "_pinned.c:1:1: error: boom\n")
@@ -281,6 +441,29 @@ class TestKernelLoader:
         with pytest.raises(RuntimeError, match=r"cannot run the C compiler: cc -O2 .*No such file"):
             linalg.load_kernel(str(tmp_path))
         assert os.listdir(tmp_path) == []
+
+
+# The wrappers hand the kernels raw addresses (``.ctypes.data``), so each
+# array must be held by a name until the call returns.  A temporary passed
+# inline is freed at once, and the kernel then writes into the heap: that can
+# pass every in-process test and still abort a fresh process in malloc.  So
+# the benchmark's kfac-ae128-w4 config (d = 128, 4 workers, inversion every
+# 10 steps, 12 iterations) runs here in a process of its own.
+def test_a_fresh_process_trains_the_kfac_benchmark_config_to_a_finite_loss(tmp_path):
+    sets = [
+        "dataset.kind=random-autoencoder", "dataset.n=1024", "batch=32", "loss=mse",
+        "net.activation=tanh", "lr=0.01", "optimizer=kfac", "net.dims=128,128,128,128",
+        "dataset.dim=128", "workers=4", "inversion_period=10", "iterations=12", "damping=0.1",
+    ]
+    out = tmp_path / "run"
+    code = "import sys; from kronopt.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["train", "--seed", "7", "--out", str(out), *(a for s in sets for a in ("--set", s))]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(linalg.__file__))}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with open(out / "summary.json") as fh:
+        assert np.isfinite(json.load(fh)["final_loss"])
 
 
 class TestOuter:

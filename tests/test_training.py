@@ -432,8 +432,8 @@ def test_malformed_idx_labels_exit_2_naming_the_file(
     assert not out.exists()
 
 
-# The damped covariance reaches entries near 1.2e16 and a smallest eigenvalue
-# of -2.6 here; the Cholesky factor meets a negative pivot at column 29.
+# The damped covariance reaches entries near 4.6e16 and a smallest eigenvalue
+# of -6.7 here; the Cholesky factor meets a negative pivot at column 18.
 def test_kfac_positive_definite_failure_names_iteration_layer_and_phase(tmp_path, capsys):
     out = tmp_path / "run"
     sets = [
@@ -443,8 +443,8 @@ def test_kfac_positive_definite_failure_names_iteration_layer_and_phase(tmp_path
     ]
     assert cli.main(["train", "--seed", "0", "--out", str(out), *_set_args(sets)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: iteration 25, layer 0, phase inversion: "
-        "not positive-definite: pivot -4.000e+00 at column 29\n"
+        "numerical failure: iteration 26, layer 0, phase inversion: "
+        "not positive-definite: pivot -1.531e+00 at column 18\n"
     )
     assert not out.exists()
 
