@@ -21,23 +21,20 @@ typedef double v8 __attribute__((vector_size(64)));
 /* KERNELS(isa, vec, lanes, height, target) defines the four entry points of
  * one instruction set, each exported under its name with the suffix _isa.
  *
- * isa_rows computes C in tiles of height rows by 2 vec (2 * lanes columns)
- * held in registers: 8 rows by 16 columns with AVX-512, 4 by 8 with AVX2 and
- * 4 by 4 with SSE2.  Columns run from j to n; the last n % (2 * lanes) are
- * summed one column at a time, rows at once.  rows is a constant once
- * inlined, and the unroll count is the tallest tile's.  Each instruction set
- * gets its own vector width: without AVX, GCC splits a 4-wide vector through
- * memory, which ran under 1 GFLOP/s.
- *
- * isa_block adds to one tile of C, rows rows by 2 vec at c (row stride
- * ldc), the terms a[r * ars + p * acs] * b[p * ldb + t] for p in [p0, p1):
- * the same sums as isa_rows, resumed from the partial sums stored in C.  A
- * double stored and loaded again is unchanged, so a sum split at any p takes
- * the bits of one unbroken loop.
+ * isa_block is the one tile sum: a tile of C, rows rows by 2 vec (2 * lanes
+ * columns) at c with row stride ldc, held in registers (8 rows by 16 columns
+ * with AVX-512, 4 by 8 with AVX2, 4 by 4 with SSE2), takes the terms
+ * a[r * ars + p * acs] * b[p * ldb + t] for p in [p0, p1), from +0.0 when
+ * fresh is 1 or from the partial sums stored in C when it is 0.  A double
+ * stored and loaded again is unchanged, so a sum split at any p takes the
+ * bits of one unbroken loop.  rows and fresh are constants once inlined, and
+ * the unroll count is the tallest tile's.  Each instruction set has its own
+ * vector width: without AVX, GCC splits a 4-wide vector through memory.
  *
  * pinned_matmul_isa: C = A B, A read through its strides (in elements), the
- * rows of B and of C contiguous, n elements long.  m % height rows take tiles
- * of one row.
+ * rows of B and of C contiguous, n elements long.  isa_rows fills height
+ * rows (one for the last m % height) with whole tiles from +0.0 over all k
+ * terms, then sums the last n % (2 * lanes) columns one at a time.
  *
  * pinned_gram_isa: C = X X^T for X (m x k, read through its strides) given
  * with its transpose XT (k x m, contiguous).  Each row's tiles start at the
@@ -73,44 +70,18 @@ typedef double v8 __attribute__((vector_size(64)));
  */
 #define KERNELS(isa, vec, lanes, height, target)                                           \
     static inline __attribute__((always_inline, target)) void                              \
-    isa##_rows(const double *a, ptrdiff_t ars, ptrdiff_t acs, const double *b, double *c,  \
-               int rows, ptrdiff_t k, ptrdiff_t n, ptrdiff_t j)                            \
-    {                                                                                      \
-        for (; j + 2 * lanes <= n; j += 2 * lanes) {                                       \
-            vec acc[height][2] = {{{0.0}}};                                                \
-            for (ptrdiff_t p = 0; p < k; p++) {                                            \
-                vec b0, b1;                                                                \
-                memcpy(&b0, b + p * n + j, sizeof b0);                                     \
-                memcpy(&b1, b + p * n + j + lanes, sizeof b1);                             \
-                _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++) {                   \
-                    double x = a[r * ars + p * acs];                                       \
-                    acc[r][0] = acc[r][0] + x * b0;                                        \
-                    acc[r][1] = acc[r][1] + x * b1;                                        \
-                }                                                                          \
-            }                                                                              \
-            _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++) {                       \
-                memcpy(c + r * n + j, &acc[r][0], sizeof(vec));                             \
-                memcpy(c + r * n + j + lanes, &acc[r][1], sizeof(vec));                     \
-            }                                                                              \
-        }                                                                                  \
-        for (; j < n; j++) {                                                               \
-            double acc[height] = {0.0};                                                    \
-            for (ptrdiff_t p = 0; p < k; p++)                                              \
-                _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++)                     \
-                    acc[r] = acc[r] + a[r * ars + p * acs] * b[p * n + j];                 \
-            _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++)                         \
-                c[r * n + j] = acc[r];                                                     \
-        }                                                                                  \
-    }                                                                                      \
-    static inline __attribute__((always_inline, target)) void                              \
     isa##_block(const double *a, ptrdiff_t ars, ptrdiff_t acs, const double *b,            \
                 ptrdiff_t ldb, double *c, ptrdiff_t ldc, int rows, ptrdiff_t p0,           \
-                ptrdiff_t p1)                                                              \
+                ptrdiff_t p1, int fresh)                                                   \
     {                                                                                      \
         vec acc[height][2];                                                                \
         _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++) {                           \
-            memcpy(&acc[r][0], c + r * ldc, sizeof(vec));                                  \
-            memcpy(&acc[r][1], c + r * ldc + lanes, sizeof(vec));                          \
+            if (fresh) {                                                                   \
+                acc[r][0] = acc[r][1] = (vec){0.0};                                        \
+            } else {                                                                       \
+                memcpy(&acc[r][0], c + r * ldc, sizeof(vec));                              \
+                memcpy(&acc[r][1], c + r * ldc + lanes, sizeof(vec));                      \
+            }                                                                              \
         }                                                                                  \
         for (ptrdiff_t p = p0; p < p1; p++) {                                              \
             vec b0, b1;                                                                    \
@@ -125,6 +96,21 @@ typedef double v8 __attribute__((vector_size(64)));
         _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++) {                           \
             memcpy(c + r * ldc, &acc[r][0], sizeof(vec));                                  \
             memcpy(c + r * ldc + lanes, &acc[r][1], sizeof(vec));                          \
+        }                                                                                  \
+    }                                                                                      \
+    static inline __attribute__((always_inline, target)) void                              \
+    isa##_rows(const double *a, ptrdiff_t ars, ptrdiff_t acs, const double *b, double *c,  \
+               int rows, ptrdiff_t k, ptrdiff_t n, ptrdiff_t j)                            \
+    {                                                                                      \
+        for (; j + 2 * lanes <= n; j += 2 * lanes)                                         \
+            isa##_block(a, ars, acs, b + j, n, c + j, n, rows, 0, k, 1);                   \
+        for (; j < n; j++) {                                                               \
+            double acc[height] = {0.0};                                                    \
+            for (ptrdiff_t p = 0; p < k; p++)                                              \
+                _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++)                     \
+                    acc[r] = acc[r] + a[r * ars + p * acs] * b[p * n + j];                 \
+            _Pragma("GCC unroll 8") for (int r = 0; r < rows; r++)                         \
+                c[r * n + j] = acc[r];                                                     \
         }                                                                                  \
     }                                                                                      \
     __attribute__((target)) void                                                           \
@@ -161,14 +147,15 @@ typedef double v8 __attribute__((vector_size(64)));
             for (ptrdiff_t i = j - j % (2 * lanes); i < ld; i += 2 * lanes) {              \
                 if (rows == height)                                                        \
                     isa##_block(u + j, 1, ld, u + i, ld, u + j * ld + i, ld, height,       \
-                                0, j);                                                     \
+                                0, j, 0);                                                  \
                 else                                                                       \
-                    isa##_block(u + j, 1, ld, u + i, ld, u + j * ld + i, ld, 1, 0, j);     \
+                    isa##_block(u + j, 1, ld, u + i, ld, u + j * ld + i, ld, 1,            \
+                                0, j, 0);                                                  \
             }                                                                              \
             for (; j < panel + rows; j++) {                                                \
                 double *uj = u + j * ld;                                                   \
                 for (ptrdiff_t i = j - j % (2 * lanes); i < ld; i += 2 * lanes)            \
-                    isa##_block(u + j, 1, ld, u + i, ld, uj + i, ld, 1, panel, j);         \
+                    isa##_block(u + j, 1, ld, u + i, ld, uj + i, ld, 1, panel, j, 0);      \
                 double d = m[j * n + j] - uj[j];                                           \
                 if (!(d > 0.0 && d <= DBL_MAX)) {                                          \
                     uj[j] = d;                                                             \
@@ -194,16 +181,16 @@ typedef double v8 __attribute__((vector_size(64)));
             for (ptrdiff_t j = 0; j < i; j += 2 * lanes) {                                 \
                 if (rows == height)                                                        \
                     isa##_block(c + i * rs, rs, cs, x + j, ld, x + i * ld + j, ld, height, \
-                                j, i);                                                     \
+                                j, i, 0);                                                  \
                 else                                                                       \
                     isa##_block(c + i * rs, rs, cs, x + j, ld, x + i * ld + j, ld, 1, j,   \
-                                i);                                                        \
+                                i, 0);                                                     \
             }                                                                              \
             for (; i < panel + rows; i++) {                                                \
                 double *xi = x + i * ld, cii = c[i * rs + i * cs];                         \
                 for (ptrdiff_t j = 0; j < i; j += 2 * lanes)                               \
                     isa##_block(c + i * rs, rs, cs, x + j, ld, xi + j, ld, 1,              \
-                                j > panel ? j : panel, i);                                 \
+                                j > panel ? j : panel, i, 0);                              \
                 for (ptrdiff_t j = 0; j < i; j++)                                          \
                     xi[j] = -xi[j] / cii;                                                  \
                 xi[i] = 1.0 / cii;                                                         \

@@ -56,7 +56,7 @@ def covariance_records(captures, iteration: int) -> list[Rank1ErrorRecord]:
     records = []
     for layer, cap in enumerate(captures):
         for kind, mat in (("activation", cap.a_prev), ("gradient", cap.g)):
-            cov = scale(matmul(mat, mat.T), 1.0 / mat.shape[1])
+            cov = scale(linalg.gram(mat), 1.0 / mat.shape[1])
             err_mean = rank1_error(cov, linalg.mean_columns(mat))
             _, top = linalg.power_iteration(cov)
             err_best = rank1_error(cov, top)

@@ -261,11 +261,14 @@ def direct_inverse(m) -> np.ndarray:
     x[p, j]) / c[i, i] below the diagonal, counted at n^3/3."""
     c = cholesky(m)
     n = c.shape[0]
-    x = np.empty((n, c.strides[1] // 8), dtype=np.float64)  # cholesky's padded rows
-    _tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n,
-                  x.shape[1])
+    x = _padded(n)
+    _tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n, x.shape[1])
     counters.add_flops(n * n * n / 3.0)
     return gram(x[:, :n].T)
+
+
+def _padded(n: int) -> np.ndarray:  # the triangular kernels' n rows: whole 16-wide tiles, >= n
+    return np.empty((n, -(-n // 16) * 16))
 
 
 def cholesky(m) -> np.ndarray:
@@ -277,9 +280,9 @@ def cholesky(m) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise DimensionMismatch(f"cholesky: non-square {m.shape}")
-    if not np.array_equal(m, m.T, equal_nan=True):  # a NaN fails as a pivot below
+    if not (np.array_equal(m, m.T) or np.array_equal(m, m.T, equal_nan=True)):
         raise LinalgError("cholesky: input is not exactly symmetric")
-    u = np.empty((n, -(-n // 16) * 16), dtype=np.float64)  # rows padded to whole 16-wide tiles
+    u = _padded(n)
     j = _cholesky(m.ctypes.data, u.ctypes.data, n, u.shape[1])
     if j >= 0:
         raise SingularMatrix(f"not positive-definite: pivot {u[j, j]:.3e} at column {j}")

@@ -527,6 +527,14 @@ class TestDirectInverse:
         with pytest.raises(linalg.LinalgError, match="^cholesky: input is not exactly symmetric$"):
             direct_inverse(m)
 
+    # The NaN-aware compare forgives a NaN only where its mirror is a NaN too.
+    @pytest.mark.parametrize("where", [(3, 1), (1, 3)])
+    def test_rejects_a_nan_whose_mirror_is_not_a_nan(self, where):
+        m = _diagonally_dominant(6, 5)
+        m[where] = np.nan
+        with pytest.raises(linalg.LinalgError, match="^cholesky: input is not exactly symmetric$"):
+            direct_inverse(m)
+
 
 @st.composite
 def _spd_with_condition(draw):

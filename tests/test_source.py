@@ -1,7 +1,8 @@
 """Every top-level function and class in ``src/kronopt`` is referenced by
 name somewhere else in the package, so nothing there is code that only the
 tests reach.  An oracle that only tests call lives in ``tests/oracles.py``.
-Weight updates have one apply site, ``training.run_training``."""
+Weight updates have one apply site, ``training.run_training``, and the C
+kernel ``_pinned.c`` has one vector tile sum."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,9 @@ def test_a_name_in_a_string_or_an_import_or_its_own_body_is_no_reference(tmp_pat
         "def only_mentioned():\n    raise ValueError('only_mentioned')\n"
     )
     assert unreferenced(tmp_path) == ["a.recursive", "a.Named", "b.only_mentioned"]
+
+
+# _pinned.c has one tile sum, isa_block, which the product, the gram matrix
+# and both triangular kernels share.
+def test_the_pinned_kernel_writes_its_vector_tile_sum_once():
+    assert (SRC / "_pinned.c").read_text().count("acc[r][0] = acc[r][0] + x * b0") == 1
