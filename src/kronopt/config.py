@@ -27,6 +27,7 @@ dataset section:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -105,24 +106,36 @@ class ExperimentConfig:
             )
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        floats += [(f"dataset.{name}", value) for name, value in self.dataset_params.items()
+                   if SYNTH_PARAMS[name] is float]
+        for key, value in floats:
+            if math.isnan(value):
+                raise ConfigError(f"{key} must be a number, got nan")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must be in (0, 1)")
         if not 0.0 < self.zeta <= 1.0:
             raise ConfigError("zeta must be in (0, 1]")
-        if self.epsilon_norm <= 0:
+        if not self.epsilon_norm > 0:
             raise ConfigError("epsilon_norm must be positive")
-        if self.damping <= 0:
-            raise ConfigError("damping must be positive")
+        if not (self.damping > 0 and math.isfinite(self.damping)):
+            raise ConfigError("damping must be positive and finite")
+        if not math.isfinite(self.momentum):
+            raise ConfigError("momentum must be finite")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must be in (0, 1)")
         if not 0.0 < self.decay_factor < 1.0:
             raise ConfigError("decay_factor must be in (0, 1)")
         if self.window < 1:
             raise ConfigError("window must be >= 1 (the hybrid switch needs a baseline)")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError("lr must be positive and finite")
         if self.inversion_period < 0:
             raise ConfigError("inversion_period must be >= 0 (0 disables factor updates)")
+        if self.epoch_iters < 0:
+            raise ConfigError("epoch_iters must be >= 0 (0 derives it from the shard size)")
+        if self.rank1_every < 0:
+            raise ConfigError("rank1_every must be >= 0 (0 disables rank-1 profiling)")
         if self.iterations < 1 or self.batch < 1 or self.workers < 1:
             raise ConfigError("iterations, batch and workers must be >= 1")
         if len(self.net_dims) < 2 or any(d < 1 for d in self.net_dims):
@@ -149,6 +162,10 @@ class ExperimentConfig:
                     raise ConfigError(f"dataset path not found: {p}")
         elif self.dataset_kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown dataset kind {self.dataset_kind!r}")
+        counts = dict(self.dataset_params, n=self.dataset_n)
+        for name, low in (("n", 1), ("dim", 1), ("classes", 1), ("rank", 0)):
+            if counts.get(name, low) < low:
+                raise ConfigError(f"dataset.{name} must be >= {low}, got {counts[name]}")
         return self
 
 

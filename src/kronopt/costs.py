@@ -88,13 +88,12 @@ def analytic_cost(optimizer: str, d: int, b: int, half_precision: bool = False) 
 
 @dataclass
 class RunTrace:
-    """The ledger of one training run.  ``run_training`` builds it before
-    iteration 1 and adds every measured cost to it as the run goes: flops by
-    phase through :func:`kronopt.counters.recording`, traffic through
-    :meth:`ship`, sync events and per-step wall times.  The step times are the
-    only wall-clock measure and enter no artifact."""
+    """The ledger of one training run.  It tallies what ``run_training``
+    tells it, from before iteration 1 on: flops by phase through
+    :func:`kronopt.counters.recording`, traffic through :meth:`ship`, sync
+    events and per-step wall times.  Which collectives ship is the loop's
+    rule.  The step times, its one wall-clock measure, enter no artifact."""
 
-    workers: int
     memory_elements: float
     flops: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))  # phase -> total count
     comm_elements: float = 0.0
@@ -104,9 +103,8 @@ class RunTrace:
 
     def ship(self, size: int, half_precision: bool = False) -> None:
         """Tally one collective's payload of ``size`` elements."""
-        if self.workers > 1:  # nothing ships on one worker
-            self.comm_elements += size
-            self.comm_bytes += size * _wire_bytes(half_precision)
+        self.comm_elements += size
+        self.comm_bytes += size * _wire_bytes(half_precision)
 
 
 def cost_csv_rows(trace: RunTrace, cfg) -> list[dict]:

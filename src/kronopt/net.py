@@ -110,19 +110,27 @@ def forward(net: NetworkState, x) -> tuple[np.ndarray, list]:
     return a, trace
 
 
-def loss_value(output: np.ndarray, targets, kind: str) -> float:
-    """Mean-over-batch loss; MSE uses the 0.5 * ||err||^2 per-sample convention."""
+def _loss_and_grad(output: np.ndarray, targets, kind: str) -> tuple[float, np.ndarray]:
+    """Mean-over-batch loss and its per-sample gradient with respect to the
+    output.  MSE uses the 0.5 * ||err||^2 per-sample convention; with
+    softmax_cross_entropy the softmax is folded into the loss, so the
+    gradient is that of the logits the output holds."""
     t = linalg.as_matrix(targets)
     if t.shape != output.shape:
         raise linalg.DimensionMismatch(f"targets {t.shape} vs output {output.shape}")
     b = output.shape[1]
     if kind == "mse":
         diff = output - t
-        return float(0.5 * np.sum(diff * diff) / b)
+        return float(0.5 * np.sum(diff * diff) / b), diff
     if kind == "softmax_cross_entropy":
         p = _softmax(output)
-        return float(-np.sum(t * np.log(np.maximum(p, 1e-300))) / b)
+        return float(-np.sum(t * np.log(np.maximum(p, 1e-300))) / b), p - t
     raise ValueError(f"unknown loss {kind!r}")
+
+
+def loss_value(output: np.ndarray, targets, kind: str) -> float:
+    """Mean-over-batch loss of ``output`` against ``targets``."""
+    return _loss_and_grad(output, targets, kind)[0]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -138,20 +146,13 @@ def backward(
     With softmax_cross_entropy the softmax is folded into the loss, so the
     final layer must use the identity activation.
     """
-    a_last, z_last, out_last = trace[-1]
-    t = linalg.as_matrix(targets)
-    if t.shape != out_last.shape:
-        raise linalg.DimensionMismatch(f"targets {t.shape} vs output {out_last.shape}")
+    _, z_last, out_last = trace[-1]
     b = out_last.shape[1]
-    lval = loss_value(out_last, t, loss)
-
+    lval, g = _loss_and_grad(out_last, targets, loss)  # per-sample dl/d(output)
     if loss == "mse":
-        dout = out_last - t  # per-sample dl/da
-        g = dout * _activate_grad(z_last, out_last, net.layers[-1].activation)
-    else:
-        if net.layers[-1].activation != "identity":
-            raise ValueError("softmax_cross_entropy requires an identity final layer")
-        g = _softmax(z_last) - t  # per-sample dl/dz
+        g = g * _activate_grad(z_last, out_last, net.layers[-1].activation)
+    elif net.layers[-1].activation != "identity":
+        raise ValueError("softmax_cross_entropy requires an identity final layer")
 
     captures: list[LayerCapture] = [None] * len(net.layers)  # type: ignore[list-item]
     for idx in range(len(net.layers) - 1, -1, -1):

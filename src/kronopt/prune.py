@@ -97,9 +97,8 @@ def prune_and_measure(
 ) -> tuple[PruneMask, float, float]:
     """Greedily prune k units of one layer, scored with the gradient on the
     given batch, and report (mask, true_loss_delta, predicted_delta) there."""
-    out, trace = forward(net, x)
-    base = loss_value(out, targets, loss)
-    _, caps = backward(net, trace, targets, loss)
+    _, trace = forward(net, x)
+    base, caps = backward(net, trace, targets, loss)
     grad = caps[layer].w_grad
     w0 = net.weights[layer]
     mask = greedy_prune(w0, grad, left, right, k, tile=tile)

@@ -27,13 +27,13 @@ its weight replica and its KFAC covariances.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
-broadcasts the inverses.  The collectives tally what they ship in the run's
-RunTrace through ``RunTrace.ship``, and nothing ships on one worker (sngd's
-only setting).  Under half_precision_comm the rank-1 vectors are rounded
-through fp16 only when they ship, so one worker trains exactly as without
-it.  Weight gradients are averaged as ambient data-parallel traffic and are
-not counted, matching the complexity-table accounting where first-order rows
-communicate nothing.
+broadcasts the inverses; each tallies through ``RunTrace.ship``.  One
+worker reduces nothing: ``_allreduce`` alone knows it, and there counts and
+ships nothing; the broadcast ships on W > 1 only.  Under
+half_precision_comm the rank-1 vectors are rounded through fp16 only when
+they ship, so one worker trains exactly as without it.  Weight gradients
+are averaged as ambient data-parallel traffic and not counted, as in the
+complexity table, where first-order rows communicate nothing.
 """
 
 from __future__ import annotations
@@ -121,10 +121,13 @@ def _mean_over_workers(arrays) -> np.ndarray:
 
 
 def _allreduce(arrays, trace: RunTrace, half_precision: bool = False) -> np.ndarray:
-    """Mean of one optimizer payload over the workers: (W+1)*size adds
-    counted (at W=1 too, where none run), shipped; under ``half_precision``
-    each array is rounded through fp16 when there is more than one to ship."""
-    if half_precision and len(arrays) > 1:
+    """Mean of one optimizer payload over the workers.  One worker's array
+    comes back as itself, with nothing counted or shipped: a single worker
+    reduces nothing.  Several are rounded through fp16 under
+    ``half_precision``, counted as (W+1)*size adds, shipped and averaged."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if half_precision:
         arrays = [fp16_roundtrip(a) for a in arrays]
     counters.add_flops((len(arrays) + 1.0) * arrays[0].size)
     trace.ship(arrays[0].size, half_precision)
@@ -177,9 +180,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
         if cfg.scheduler == "knee" else None
     epoch_iters = cfg.epoch_iters or max(1, -(-shards[0].n // cfg.batch))
     period = cfg.inversion_period
-    trace = RunTrace(
-        n_workers, sum(layer_memory(opt, s.out_dim, s.in_dim, cfg.batch) for s in specs)
-    )
+    trace = RunTrace(sum(layer_memory(opt, s.out_dim, s.in_dim, cfg.batch) for s in specs))
 
     losses: list[float] = []
     lrs: list[float] = []
@@ -239,17 +240,17 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                         kfac_accumulate(covs[w][l], worker_caps[w][l], cfg.gamma)
                 if sync:
                     for l in range(len(specs)):
-                        if n_workers > 1:  # one worker has nothing to reduce
-                            with counters.phase("factor_update"):
-                                l_cov = _allreduce([cov[l].l_cov for cov in covs], trace)
-                                r_cov = _allreduce([cov[l].r_cov for cov in covs], trace)
-                            # workers share the reduced arrays: nothing writes them in place
-                            for cov in covs:
-                                cov[l].l_cov, cov[l].r_cov = l_cov, r_cov
+                        with counters.phase("factor_update"):
+                            l_cov = _allreduce([cov[l].l_cov for cov in covs], trace)
+                            r_cov = _allreduce([cov[l].r_cov for cov in covs], trace)
+                        # workers share the reduced arrays: nothing writes them in place
+                        for cov in covs:
+                            cov[l].l_cov, cov[l].r_cov = l_cov, r_cov
                         _write_factors(
                             t, l, "inversion", kfac_invert, factors[l], covs[0][l], cfg.damping
                         )
-                        trace.ship(factors[l].l_inv.size + factors[l].r_inv.size)  # broadcast
+                        if n_workers > 1:  # worker 0 broadcasts the inverses
+                            trace.ship(factors[l].l_inv.size + factors[l].r_inv.size)
                 with counters.phase("precondition"):
                     deltas = [
                         precondition(

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py reads kronbench/run.py's printed table."""
+"""tools/bench_pairs.py reads kronbench/run.py's printed table and names each tree it runs."""
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -49,3 +50,23 @@ def test_a_change_wins_a_pair_in_the_metric_s_own_direction():
     assert summary["samples_per_s (raw)"]["change_wins"] == 1
     assert summary["step_ms.p50"]["change_wins"] == 0  # equal scaled values: no win
     assert summary["reference_ms"]["change"]["median"] == 30.0
+
+
+def _copy_sources(root: Path, dest: Path) -> Path:
+    src = root / "src" / "kronopt"
+    (dest / "src" / "kronopt").mkdir(parents=True)
+    for path in [*src.glob("*.py"), src / "_pinned.c"]:
+        shutil.copy(path, dest / "src" / "kronopt" / path.name)
+    return dest
+
+
+def test_a_tree_is_named_by_its_sources_not_its_place(tmp_path):
+    root = Path(bench_pairs.__file__).resolve().parent.parent
+    one = _copy_sources(root, tmp_path / "one")
+    other = _copy_sources(root, tmp_path / "elsewhere" / "other")
+    assert bench_pairs.tree_hash(one) == bench_pairs.tree_hash(other) == bench_pairs.tree_hash(root)
+    kernel = other / "src" / "kronopt" / "_pinned.c"
+    body = bytearray(kernel.read_bytes())
+    body[-1] ^= 1
+    kernel.write_bytes(bytes(body))
+    assert bench_pairs.tree_hash(other) != bench_pairs.tree_hash(one)

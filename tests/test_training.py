@@ -161,6 +161,27 @@ BAD_CONFIG_ARGS = {
         "--set", "dataset.labels=no-such-labels.idx",
     ],
     "set-without-equals": ["--set", "lr"],
+    "blobs-classes=0": ["--set", "dataset.kind=gaussian-blobs", "--set", "dataset.classes=0"],
+    "blobs-classes<0": ["--set", "dataset.kind=gaussian-blobs", "--set", "dataset.classes=-1"],
+    "blobs-dim<0": ["--set", "dataset.kind=gaussian-blobs", "--set", "dataset.dim=-1"],
+    "blobs-n<0": ["--set", "dataset.kind=gaussian-blobs", "--set", "dataset.n=-1"],
+    "autoencoder-dim<0": ["--set", "dataset.kind=random-autoencoder", "--set", "dataset.dim=-1"],
+    "autoencoder-rank<0": ["--set", "dataset.kind=random-autoencoder", "--set", "dataset.rank=-1"],
+    "autoencoder-n<0": ["--set", "dataset.kind=random-autoencoder", "--set", "dataset.n=-1"],
+    "dataset.n=0": ["--set", "dataset.n=0"],
+    "lr=nan": ["--set", "lr=nan"],
+    "lr=inf": ["--set", "lr=inf"],
+    "kfac-damping=nan": ["--set", "optimizer=kfac", "--set", "damping=nan"],
+    "damping=inf": ["--set", "damping=inf"],
+    "sgd-momentum=nan": ["--set", "optimizer=sgd", "--set", "momentum=nan"],
+    "momentum=-inf": ["--set", "momentum=-inf"],
+    "dataset.noise=nan": ["--set", "dataset.kind=random-autoencoder", "--set", "dataset.noise=nan"],
+    "epsilon_norm=nan": ["--set", "epsilon_norm=nan"],
+    "mkor-h-switch_ratio=nan": ["--set", "optimizer=mkor-h", "--set", "switch_ratio=nan"],
+    "gamma=nan": ["--set", "gamma=nan"],
+    "dataset.sigma=nan": ["--set", "dataset.sigma=nan"],
+    "epoch_iters<0": ["--set", "scheduler=step", "--set", "epoch_iters=-1"],
+    "rank1_every<0": ["--set", "rank1_every=-1"],
 }
 
 
@@ -709,6 +730,31 @@ def test_traffic_is_counted_where_it_ships(optimizer, workers, half):
 def test_mean_over_one_worker_is_that_workers_array():
     grad = np.array([[1.5, -0.0], [0.0, -2.25]])
     assert training._mean_over_workers([grad]) is grad
+
+
+# One worker reduces nothing: its payload comes back as itself, unrounded
+# (3e5 lies beyond fp16's range), with no adds counted and nothing shipped.
+@pytest.mark.parametrize("half", [False, True], ids=["full", "fp16"])
+def test_allreduce_over_one_worker_returns_its_array_and_counts_nothing(half):
+    payload = np.array([1.5, -0.0, 3.0e5])
+    trace = costs.RunTrace(memory_elements=0.0)
+    with counters.recording(trace.flops), counters.phase("factor_update"):
+        got = training._allreduce([payload], trace, half)
+    assert got is payload
+    assert trace.flops == dict.fromkeys(counters.PHASES, 0.0)
+    assert trace.comm_elements == trace.comm_bytes == 0.0
+
+
+# A one-worker rank-1 sync counts only the factor refresh: the same total as
+# a run whose reduction is replaced by handing back worker 0's vectors.
+@pytest.mark.parametrize("optimizer", ["mkor", "mkor-h"])
+def test_one_worker_sync_counts_no_reduction(monkeypatch, optimizer):
+    cfg = load_config(None, SQUARE_AE + [f"optimizer={optimizer}"], seed=0)
+    counted = run_training(cfg).trace.flops["factor_update"]
+    monkeypatch.setattr(training, "_allreduce", lambda arrays, *_: arrays[0])
+    bare = run_training(cfg).trace
+    assert bare.sync_events == 4
+    assert counted == bare.flops["factor_update"] > 0.0
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -17,12 +17,15 @@ number of pairs the change wins, by the direction ``BENCHMARK.json`` gives.
 
 ``--out`` names a JSON file; an existing one keeps its other entries, and
 the entry for this workload and seed is replaced.  ``--note`` is stored with
-the entry, to say what the two checkouts hold.
+the entry, to say what the two checkouts hold.  Each side's ``env`` records
+``tree_sha256``, a hash of the program's sources (:func:`tree_hash`), which
+names a checkout that has no ``.git``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -53,6 +56,19 @@ def parse_output(stdout: str) -> dict:
     for name, value in raw.items():
         run["metrics"][name]["raw"] = value
     return run
+
+
+def tree_hash(checkout: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the checkout's
+    ``src/kronopt/*.py`` and ``src/kronopt/_pinned.c``: equal for two copies
+    of one tree wherever they sit."""
+    src = checkout / "src" / "kronopt"
+    digest = hashlib.sha256()
+    for path in sorted([*src.glob("*.py"), src / "_pinned.c"]):
+        body = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(body)}\0".encode())
+        digest.update(body)
+    return digest.hexdigest()
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -121,13 +137,14 @@ def main(argv: list[str] | None = None) -> int:
     seconds = bench["run_seconds"]
 
     runs = {side: [] for side in SIDES}
+    trees = {side: tree_hash(getattr(args, side)) for side in SIDES}
     env = {}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             checkout = getattr(args, side)
             run = run_bench(checkout, args.workload, args.seed, seconds)
-            env.setdefault(side, run.pop("env", None))
+            env.setdefault(side, {**(run.pop("env", None) or {}), "tree_sha256": trees[side]})
             run.update(pair=pair, first=order[0])
             runs[side].append(run)
             step = run["metrics"].get("step_ms.p50", {})
