@@ -1,13 +1,19 @@
 /* Pinned-order dense kernels for kronopt.linalg: the product C = A B, the
  * gram matrix X X^T, the Cholesky factor of a symmetric positive-definite
- * matrix and the inverse of a lower-triangular matrix.
+ * matrix and the inverse of a lower-triangular matrix; and two elementwise
+ * passes of the rank-1 factor refresh, alpha F + c u u^T and alpha F + beta I.
  *
- * Every entry is a sum that starts at 0.0 and takes acc = acc + u * v for its
- * terms in a fixed ascending order: one rounded multiply and one rounded add
- * per term, the scalar loop's work.  Vectors run across output entries only,
- * never across the summed index.  Built with -ffp-contract=off and without
- * fast-math, so no path fuses a multiply-add.  Nothing here allocates: every
- * buffer is the caller's.
+ * In the four dense kernels every entry is a sum that starts at 0.0 and takes
+ * acc = acc + u * v for its terms in a fixed ascending order: one rounded
+ * multiply and one rounded add per term, the scalar loop's work.  Vectors run
+ * across output entries only, never across the summed index.  The two
+ * elementwise passes sum nothing, so they have no order to pin: each entry
+ * takes the rounded multiplies and adds of numpy's whole-array chain, so the
+ * same bits on any CPU.  (When both operands of one operation are NaN, which
+ * one's sign and payload the result keeps is the instruction's choice, and
+ * the compiler orders commutative operands; IEEE 754 leaves it open.)  Built
+ * with -ffp-contract=off and without fast-math, so no path fuses a
+ * multiply-add.  Nothing here allocates: every buffer is the caller's.
  */
 #include <emmintrin.h>
 #include <float.h>
@@ -18,7 +24,7 @@ typedef double v2 __attribute__((vector_size(16)));
 typedef double v4 __attribute__((vector_size(32)));
 typedef double v8 __attribute__((vector_size(64)));
 
-/* KERNELS(isa, vec, lanes, height, target) defines the four entry points of
+/* KERNELS(isa, vec, lanes, height, target) defines the six entry points of
  * one instruction set, each exported under its name with the suffix _isa.
  *
  * isa_block is the one tile sum: a tile of C, rows rows by 2 vec (2 * lanes
@@ -67,6 +73,16 @@ typedef double v8 __attribute__((vector_size(64)));
  * finite times the +0.0 above the diagonal of X, and a sum that starts at
  * +0.0 is never -0.0, so they leave it unchanged.  Only tiles that meet the
  * triangle are visited.
+ *
+ * pinned_scale_rank1_isa: out = alpha F + c u u^T for an n x n F, rows
+ * contiguous: out[i,j] = f[i,j] * alpha + (u[i] * u[j]) * c, the entries of
+ * numpy's add(F * alpha, outer(u, u) * c).
+ *
+ * pinned_scale_shift_isa: out = alpha F + beta I for an n x n F, rows
+ * contiguous: f[i,j] * alpha plus the scaled identity's entry, beta on the
+ * diagonal and beta * 0.0 off it, the entries of numpy's
+ * add(F * alpha, I * beta).  For beta >= 0 that adds +0.0, which turns a
+ * -0.0 of F * alpha into +0.0, as the chain does.
  */
 #define KERNELS(isa, vec, lanes, height, target)                                           \
     static inline __attribute__((always_inline, target)) void                              \
@@ -198,6 +214,42 @@ typedef double v8 __attribute__((vector_size(64)));
                     xi[j] = 0.0;                                                           \
             }                                                                              \
         }                                                                                  \
+    }                                                                                      \
+    __attribute__((target)) void                                                           \
+    pinned_scale_rank1_##isa(const double *f, const double *u, double alpha, double c,     \
+                             double *out, ptrdiff_t n)                                     \
+    {                                                                                      \
+        for (ptrdiff_t i = 0; i < n; i++) {                                                \
+            const double *fi = f + i * n;                                                  \
+            double *oi = out + i * n, ui = u[i];                                           \
+            ptrdiff_t j = 0;                                                               \
+            for (; j + lanes <= n; j += lanes) {                                           \
+                vec x, y;                                                                  \
+                memcpy(&x, fi + j, sizeof x);                                              \
+                memcpy(&y, u + j, sizeof y);                                               \
+                x = x * alpha + ui * y * c;                                                \
+                memcpy(oi + j, &x, sizeof x);                                              \
+            }                                                                              \
+            for (; j < n; j++)                                                             \
+                oi[j] = fi[j] * alpha + ui * u[j] * c;                                     \
+        }                                                                                  \
+    }                                                                                      \
+    __attribute__((target)) void                                                           \
+    pinned_scale_shift_##isa(const double *f, double alpha, double beta, double *out,      \
+                             ptrdiff_t n)                                                  \
+    {                                                                                      \
+        double off = beta * 0.0;                                                           \
+        ptrdiff_t k = 0;                                                                   \
+        for (; k + lanes <= n * n; k += lanes) {                                           \
+            vec x;                                                                         \
+            memcpy(&x, f + k, sizeof x);                                                   \
+            x = x * alpha + off;                                                           \
+            memcpy(out + k, &x, sizeof x);                                                 \
+        }                                                                                  \
+        for (; k < n * n; k++)                                                             \
+            out[k] = f[k] * alpha + off;                                                   \
+        for (k = 0; k < n; k++)                                                            \
+            out[k * n + k] = f[k * n + k] * alpha + beta;                                  \
     }
 
 KERNELS(avx512, v8, 8, 8, target("avx512f"))
@@ -222,3 +274,5 @@ RESOLVE(pinned_matmul)
 RESOLVE(pinned_gram)
 RESOLVE(pinned_cholesky)
 RESOLVE(pinned_tril_inverse)
+RESOLVE(pinned_scale_rank1)
+RESOLVE(pinned_scale_shift)

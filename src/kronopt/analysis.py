@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .linalg import (
     NumericalError,
-    add,
+    blend_identity,
     direct_inverse,
     frobenius_norm,
     identity,
@@ -137,8 +137,8 @@ def lemma3_check(dl: int, dr: int, zeta: float, trials: int, seed: int = 0) -> d
         w0 = rng.standard_normal(dl * dr)
         c = rng.standard_normal(dl * dr)
         grad = kron_dense(left, right) @ w0 + c
-        bl = add(scale(l_inv, zeta), scale(identity(dl), 1.0 - zeta))
-        br = add(scale(r_inv, zeta), scale(identity(dr), 1.0 - zeta))
+        bl = blend_identity(l_inv, zeta)
+        br = blend_identity(r_inv, zeta)
         step = kron_dense(bl, br) @ grad
         descent = float(grad @ step)
         if not descent > 0.0:

@@ -12,6 +12,12 @@ bit-identical to that loop.  Its vectors span output entries only, and it is
 compiled without contraction, so no multiply-add is ever fused.  Each entry
 point has an AVX-512, an AVX2 and an SSE2 path; when the library loads, each
 resolves to the widest one the CPU runs, and all three give the same bits.
+``scale_rank1`` (alpha M + c u u^T) and ``blend_identity``
+(zeta M + (1 - zeta) I) run the library's two elementwise entry points: one
+rounded multiply or add per operation, as numpy's whole-array chain rounds
+them.  They sum nothing, so there is no order to pin, and they give that
+chain's bits on any CPU; only a NaN that meets another NaN may keep the
+other's sign and payload, which IEEE 754 leaves open.
 ``matvec`` and ``dot`` go through BLAS; they repeat bit for bit at a fixed
 BLAS thread count, and the benchmark runs them at one thread.
 
@@ -36,12 +42,14 @@ from . import counters
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pinned.c")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_P, _S = ctypes.c_void_p, ctypes.c_ssize_t
+_P, _S, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 # (restype, argtypes) of each entry point; an instance adds _avx512, _avx2 or _sse2
 _ENTRIES = {"pinned_matmul": (None, (_P, _S, _S, _P, _P, _S, _S, _S)),
             "pinned_gram": (None, (_P, _S, _S, _P, _P, _S, _S)),
             "pinned_cholesky": (_S, (_P, _P, _S, _S)),
-            "pinned_tril_inverse": (None, (_P, _S, _S, _P, _S, _S))}
+            "pinned_tril_inverse": (None, (_P, _S, _S, _P, _S, _S)),
+            "pinned_scale_rank1": (None, (_P, _P, _D, _D, _P, _S)),
+            "pinned_scale_shift": (None, (_P, _D, _D, _P, _S))}
 
 
 class LinalgError(Exception):
@@ -114,7 +122,8 @@ def _build(path: str) -> None:
 
 
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-_kernel, _gram, _cholesky, _tril_inverse = (load_kernel(_CACHE, name) for name in _ENTRIES)
+(_kernel, _gram, _cholesky, _tril_inverse, _scale_rank1,
+ _scale_shift) = (load_kernel(_CACHE, name) for name in _ENTRIES)
 
 
 def _operand(a) -> np.ndarray:
@@ -213,6 +222,44 @@ def add(a, b) -> np.ndarray:
     return a + b
 
 
+def _square(m, op: str) -> np.ndarray:
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{op}: non-square {m.shape}")
+    return m
+
+
+def scale_rank1(m, u, alpha: float, c: float) -> np.ndarray:
+    """alpha M + c u u^T for a square M, in one pass: entry (i, j) is
+    m[i,j] * alpha + (u[i] * u[j]) * c, so bitwise
+    ``add(scale(m, alpha), scale(outer(u, u), c))``, and counted as that
+    chain's four passes, 4 n^2 flops."""
+    m = _square(m, "scale_rank1")
+    u = as_vector(u)
+    n = m.shape[0]
+    if u.shape[0] != n:
+        raise DimensionMismatch(f"scale_rank1: {m.shape} and {u.shape}")
+    counters.add_flops(4.0 * n * n)
+    out = np.empty((n, n), dtype=np.float64)
+    _scale_rank1(m.ctypes.data, u.ctypes.data, float(alpha), float(c), out.ctypes.data, n)
+    return out
+
+
+def blend_identity(m, zeta: float) -> np.ndarray:
+    """zeta M + (1 - zeta) I for a square M, in one pass: m[i,j] * zeta plus
+    the scaled identity's entry, beta = 1 - zeta on the diagonal and
+    beta * 0.0 off it, so bitwise
+    ``add(scale(m, zeta), scale(identity(n), 1.0 - zeta))``, and counted as
+    that chain's three passes, 3 n^2 flops.  For 0 < zeta <= 1 it is a
+    convex blend, so a PD M gives a PD result."""
+    m = _square(m, "blend_identity")
+    n = m.shape[0]
+    counters.add_flops(3.0 * n * n)
+    out = np.empty((n, n), dtype=np.float64)
+    _scale_shift(m.ctypes.data, float(zeta), 1.0 - zeta, out.ctypes.data, n)
+    return out
+
+
 def frobenius_norm(m) -> float:
     m = np.asarray(m, dtype=np.float64)
     flat = m.reshape(-1)
@@ -276,10 +323,8 @@ def cholesky(m) -> np.ndarray:
     :class:`LinalgError`), the transposed view of the kernel's C^T, counted at
     n^3/3.  A pivot that is not positive and finite, where any NaN or infinity
     in M ends, raises :class:`SingularMatrix` naming it and its column."""
-    m = as_matrix(m)
+    m = _square(m, "cholesky")
     n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionMismatch(f"cholesky: non-square {m.shape}")
     if not (np.array_equal(m, m.T) or np.array_equal(m, m.T, equal_nan=True)):
         raise LinalgError("cholesky: input is not exactly symmetric")
     u = _padded(n)

@@ -36,6 +36,7 @@ from . import counters, linalg
 from .linalg import (
     NumericalError,
     add,
+    blend_identity,
     dot,
     identity,
     inf_norm,
@@ -44,6 +45,7 @@ from .linalg import (
     mean_columns,
     outer,
     scale,
+    scale_rank1,
 )
 from .net import LayerCapture, NetworkState
 
@@ -129,36 +131,18 @@ def rank1_reduce(capture: LayerCapture) -> tuple[np.ndarray, np.ndarray]:
 def stabilize(f_inv: np.ndarray, epsilon_norm: float, zeta: float) -> np.ndarray:
     """Blend toward the identity when the inverse factor's norm runs away.
 
-    Returns zeta * F_inv + (1 - zeta) * I when ||F_inv||_inf exceeds the
-    threshold, otherwise F_inv untouched; a convex blend of PD matrices with
-    the identity stays PD.
+    Returns zeta * F_inv + (1 - zeta) * I (``linalg.blend_identity``), a new
+    array, when ||F_inv||_inf exceeds the threshold, otherwise F_inv itself.
     """
     if inf_norm(f_inv) <= epsilon_norm:
         return f_inv
-    return add(scale(f_inv, zeta), scale(identity(f_inv.shape[0]), 1.0 - zeta))
+    return blend_identity(f_inv, zeta)
 
 
-def _identity_round(x):
-    return x
-
-
-def _sm_formula(f_inv, v, gamma: float, q=_identity_round):
-    """Shared body of the rank-1 inverse update; ``q`` rounds every
-    intermediate (identity for the double-precision path, fp16 for the
-    quantization study, keeping both paths op-for-op identical)."""
-    u = q(matvec(f_inv, v))
-    quad = q(dot(v, u))
-    # denominator gamma^2 * (1 + gamma*(1-gamma)*v^T F^-1 v) is provably >= gamma^2
-    t1 = q(gamma * (1.0 - gamma))
-    t2 = q(t1 * quad)
-    t3 = q(1.0 + t2)
+def _check_denominator(t3: float) -> None:
+    # the denominator g^2 (1 + g(1-g) v^T F^-1 v) is provably >= g^2
     if not t3 >= 1.0:
         raise NumericalError("rank-1 update denominator lost positivity")
-    denom = q(q(gamma * gamma) * t3)
-    coeff = q((1.0 - gamma) / denom)
-    term = q(scale(q(outer(u, u)), coeff))
-    base = q(scale(f_inv, gamma))
-    return q(add(base, term))
 
 
 def sm_update(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -166,17 +150,30 @@ def sm_update(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
 
         F_t^-1 = g*F^-1 + (1-g) / (g^2 (1 + g(1-g) v^T F^-1 v)) * F^-1 v v^T F^-1
 
-    For exactly symmetric F^-1 the result is exactly symmetric by
-    construction: g*F^-1 is, and so is the outer product u u^T, since
-    u_i u_j = u_j u_i in IEEE arithmetic.  It stays positive-definite for PD
-    input.
+    A new array; F^-1 is only read.  For exactly symmetric F^-1 the result
+    is exactly symmetric by construction: g*F^-1 is, and so is the outer
+    product u u^T, since u_i u_j = u_j u_i in IEEE arithmetic.  It stays
+    positive-definite for PD input.
     """
-    return _sm_formula(f_inv, v, gamma)
+    f = linalg.as_matrix(f_inv)
+    u = matvec(f, v)
+    t3 = 1.0 + gamma * (1.0 - gamma) * dot(v, u)
+    _check_denominator(t3)
+    return scale_rank1(f, u, gamma, (1.0 - gamma) / (gamma * gamma * t3))
 
 
 def sm_update_quantized(f_inv, v, gamma: float) -> np.ndarray:
-    """Same update with every input and intermediate rounded through fp16."""
-    return _sm_formula(fp16_roundtrip(f_inv), fp16_roundtrip(v), gamma, q=fp16_roundtrip)
+    """Same update with every input and intermediate rounded through fp16,
+    one operation at a time."""
+    q = fp16_roundtrip
+    f_inv, v = q(f_inv), q(v)
+    u = q(matvec(f_inv, v))
+    quad = q(dot(v, u))
+    t3 = q(1.0 + q(q(gamma * (1.0 - gamma)) * quad))
+    _check_denominator(t3)
+    coeff = q((1.0 - gamma) / q(q(gamma * gamma) * t3))
+    term = q(scale(q(outer(u, u)), coeff))
+    return q(add(q(scale(f_inv, gamma)), term))
 
 
 def sm_update_exact(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -186,11 +183,10 @@ def sm_update_exact(f_inv: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarra
     differs from :func:`sm_update` (leading 1/gamma vs gamma, negative rank-1
     correction).  Used to quantify the printed formula's divergence.
     """
-    u = matvec(f_inv, v)
-    quad = dot(v, u)
-    denom = 1.0 + (1.0 - gamma) / gamma * quad
-    coeff = -(1.0 - gamma) / (gamma * gamma) / denom
-    return add(scale(f_inv, 1.0 / gamma), scale(outer(u, u), coeff))
+    f = linalg.as_matrix(f_inv)
+    u = matvec(f, v)
+    denom = 1.0 + (1.0 - gamma) / gamma * dot(v, u)
+    return scale_rank1(f, u, 1.0 / gamma, -(1.0 - gamma) / (gamma * gamma) / denom)
 
 
 def precondition(l_inv, w_grad, r_inv, captures) -> np.ndarray:

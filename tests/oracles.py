@@ -228,3 +228,44 @@ def sm_update_printed(f_inv, v, gamma: float) -> np.ndarray:
     u = f_inv @ v
     coeff = (1.0 - gamma) / (gamma**2 * (1.0 + gamma * (1.0 - gamma) * (v @ u)))
     return gamma * f_inv + coeff * np.outer(u, u)
+
+
+def _matvec_and_quad(f_inv, v):
+    """F made C-contiguous, u = F v and v . u, through numpy's BLAS as the
+    package's ``matvec`` and ``dot`` take them."""
+    f = np.ascontiguousarray(f_inv, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    u = f @ v
+    return f, u, float(np.dot(v, u))
+
+
+def sm_update_chain(f_inv, v, gamma: float) -> np.ndarray:
+    """The printed rank-1 update as a chain of whole-array numpy passes, one
+    rounded operation each: F*g, (u u^T)*coeff and their sum, with
+    coeff = (1-g) / ((g*g) * (1 + (g*(1-g)) * quad)).  The bitwise oracle for
+    ``optim.sm_update``; a denominator below 1 raises ArithmeticError."""
+    f, u, quad = _matvec_and_quad(f_inv, v)
+    t3 = 1.0 + gamma * (1.0 - gamma) * quad
+    if not t3 >= 1.0:
+        raise ArithmeticError(t3)
+    coeff = (1.0 - gamma) / (gamma * gamma * t3)
+    return f * gamma + np.outer(u, u) * coeff
+
+
+def sm_update_exact_chain(f_inv, v, gamma: float) -> np.ndarray:
+    """Sherman-Morrison's inverse of g F + (1-g) v v^T as the same chain:
+    F*(1/g) + (u u^T)*coeff with coeff = (-(1-g) / (g*g)) / (1 + ((1-g)/g) quad).
+    The bitwise oracle for ``optim.sm_update_exact``."""
+    f, u, quad = _matvec_and_quad(f_inv, v)
+    coeff = -(1.0 - gamma) / (gamma * gamma) / (1.0 + (1.0 - gamma) / gamma * quad)
+    return f * (1.0 / gamma) + np.outer(u, u) * coeff
+
+
+def stabilize_chain(f_inv, epsilon_norm: float, zeta: float) -> np.ndarray:
+    """F itself while its largest absolute row sum (numpy's pairwise sum) is
+    at most epsilon_norm, else F*zeta + I*(1-zeta) as two numpy passes and a
+    sum.  The bitwise oracle for ``optim.stabilize``."""
+    f = np.asarray(f_inv, dtype=np.float64)
+    if np.max(np.sum(np.abs(f), axis=1)) <= epsilon_norm:
+        return f_inv
+    return f * zeta + np.eye(f.shape[0]) * (1.0 - zeta)

@@ -1,6 +1,4 @@
-import contextlib
 import ctypes
-import functools
 import json
 import os
 import re
@@ -31,6 +29,7 @@ from kronopt.linalg import (
     power_iteration,
 )
 
+from kernel_paths import CACHE, CPU_FLAGS, ENTRY_POINTS, on_path
 from oracles import (
     cholesky_loops,
     jacobi_eigenvalues,
@@ -46,57 +45,8 @@ from oracles import (
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def _cpu_flags() -> set[str]:
-    with open("/proc/cpuinfo") as fh:
-        for line in fh:
-            if line.startswith("flags"):
-                return set(line.split(":", 1)[1].split())
-    return set()
-
-
-_CPU_FLAGS = _cpu_flags()
-_CACHE = os.path.join(os.path.dirname(linalg.__file__), "__pycache__")
-
-
-_ENTRY_POINTS = {"matmul": "_kernel", "gram": "_gram", "cholesky": "_cholesky",
-                 "tril_inverse": "_tril_inverse"}
-
-
-@pytest.fixture(scope="module", params=[("avx512", "avx512f"), ("avx2", "avx2"), ("sse2", "sse2")],
-                ids=["avx512", "avx2", "sse2"])
-def path(request):
-    """Each of the kernels' paths by name, whichever one the CPU's resolver
-    picks; a path whose instructions the CPU lacks is skipped, since calling
-    it would kill the process."""
-    name, feature = request.param
-    if feature not in _CPU_FLAGS:
-        pytest.skip(f"this CPU lacks {feature} (not among /proc/cpuinfo's flags), "
-                    f"so the {name} path cannot run here")
-    return name
-
-
-@functools.cache
-def _instances(path):
-    return {slot: linalg.load_kernel(_CACHE, f"pinned_{entry}_{path}")
-            for entry, slot in _ENTRY_POINTS.items()}
-
-
-@contextlib.contextmanager
-def _on(path):
-    """linalg with every entry point's ``path`` instance in place of the
-    resolver's pick."""
-    saved = {slot: getattr(linalg, slot) for slot in _ENTRY_POINTS.values()}
-    try:
-        for slot, kernel in _instances(path).items():
-            setattr(linalg, slot, kernel)
-        yield
-    finally:
-        for slot, kernel in saved.items():
-            setattr(linalg, slot, kernel)
-
-
 def _through(path, a, b):
-    with _on(path):
+    with on_path(path):
         return matmul(a, b)
 
 
@@ -249,13 +199,13 @@ class TestKernelPaths:
         assert _through(path, a, b).tobytes() == want.tobytes()
 
     def test_matmul_runs_the_avx512_path_on_a_cpu_with_avx512f(self):
-        if "avx512f" not in _CPU_FLAGS:
+        if "avx512f" not in CPU_FLAGS:
             pytest.skip("this CPU lacks avx512f (not among /proc/cpuinfo's flags)")
 
         def address(kernel):
             return ctypes.cast(kernel, ctypes.c_void_p).value
 
-        assert address(linalg._kernel) == address(linalg.load_kernel(_CACHE, "pinned_matmul_avx512"))
+        assert address(linalg._kernel) == address(linalg.load_kernel(CACHE, "pinned_matmul_avx512"))
 
     # The FMA canary in TestMatmul runs only the path this CPU picks; the
     # disassembly covers all three, for every entry point.
@@ -266,7 +216,7 @@ class TestKernelPaths:
         [name] = os.listdir(tmp_path)
         listing = subprocess.run(["objdump", "-d", str(tmp_path / name)], capture_output=True,
                                  text=True, check=True).stdout
-        for entry in _ENTRY_POINTS:
+        for entry in ENTRY_POINTS:
             for path_name in ("avx512", "avx2", "sse2"):
                 assert f"<pinned_{entry}_{path_name}>:" in listing
         fused = re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", listing)
@@ -289,7 +239,7 @@ def _gram_operands(draw):
 @example(x=np.array([[1.0], [-0.0], [3e-320], [1e150], [-2.5]]))  # k = 1
 @example(x=np.arange(17 * 3, dtype=np.float64).reshape(3, 17).T - 20.0)  # m = 17, a .T view
 def test_each_path_gram_is_the_triple_loops_x_xt_byte_for_byte(path, x):
-    with _on(path):
+    with on_path(path):
         got = gram(x)
     assert got.flags.c_contiguous
     assert got.tobytes() == matmul_loops(x, x.T).tobytes()
@@ -303,7 +253,7 @@ def test_each_path_gram_is_matmul_of_x_and_its_transpose_at_workload_shapes(path
     rng = make_rng(m * 3 + k)
     x = rng.standard_normal((k, m)).T if view else rng.standard_normal((m, k))
     x[rng.uniform(size=x.shape) < 1.0 / 16] = -0.0
-    with _on(path):
+    with on_path(path):
         assert gram(x).tobytes() == matmul(x, x.T).tobytes()
 
 
@@ -350,7 +300,7 @@ class TestTriangularKernels:
     @pytest.mark.parametrize("n", _ORDERS)
     def test_each_path_factors_like_the_scalar_loops_byte_for_byte(self, path, n):
         m = _diagonally_dominant(n, n)
-        with _on(path):
+        with on_path(path):
             got = cholesky(m)
         assert np.ascontiguousarray(got).tobytes() == cholesky_loops(m).tobytes()
 
@@ -361,7 +311,7 @@ class TestTriangularKernels:
         c[np.tril(rng.uniform(size=(n, n)) < 1.0 / 8, -1)] = -0.0
         c[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
         want = tril_inverse_loops(c).tobytes()
-        with _on(path):
+        with on_path(path):
             for layout in (c, np.asfortranarray(c)):  # cholesky returns the second
                 assert _tril_inverse(layout).tobytes() == want
 
@@ -369,14 +319,14 @@ class TestTriangularKernels:
     def test_each_path_inverts_like_the_scalar_loops_byte_for_byte(self, path, n):
         m = _diagonally_dominant(n, 7 * n)
         x = tril_inverse_loops(cholesky_loops(m))
-        with _on(path):
+        with on_path(path):
             got = direct_inverse(m)
         assert got.tobytes() == matmul_loops(x.T, x).tobytes()
 
     def test_each_path_factors_and_inverts_at_the_workload_order(self, path):
         m = random_spd(make_rng(128), 128)
         c = cholesky_loops(m)
-        with _on(path):
+        with on_path(path):
             assert np.ascontiguousarray(cholesky(m)).tobytes() == c.tobytes()
             assert _tril_inverse(c).tobytes() == tril_inverse_loops(c).tobytes()
 
@@ -394,7 +344,7 @@ class TestTriangularKernels:
             cholesky_loops(m)
         column, pivot = oracle.value.args
         assert column == where[0]
-        with _on(path), pytest.raises(SingularMatrix) as exc:
+        with on_path(path), pytest.raises(SingularMatrix) as exc:
             cholesky(m)
         assert str(exc.value) == f"not positive-definite: pivot {pivot:.3e} at column {column}"
 
@@ -694,6 +644,16 @@ class TestPlumbing:
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(linalg.scale(m, 2.0), 2.0 * m)
         assert np.array_equal(linalg.add(m, m), 2.0 * m)
+
+    # The kernels read n x n entries of F and n of u, so a shape that does not
+    # match is refused before they run.
+    def test_the_one_pass_refresh_rejects_a_shape_it_cannot_write(self):
+        with pytest.raises(DimensionMismatch, match=r"scale_rank1: non-square \(2, 3\)"):
+            linalg.scale_rank1(np.ones((2, 3)), np.ones(2), 1.0, 1.0)
+        with pytest.raises(DimensionMismatch, match=r"scale_rank1: \(2, 2\) and \(3,\)"):
+            linalg.scale_rank1(np.eye(2), np.ones(3), 1.0, 1.0)
+        with pytest.raises(DimensionMismatch, match=r"blend_identity: non-square \(3, 2\)"):
+            linalg.blend_identity(np.ones((3, 2)), 0.5)
 
     def test_frobenius(self):
         assert abs(linalg.frobenius_norm(np.array([[3.0, 4.0]])) - 5.0) < 1e-15

@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,16 @@ from kronopt.optim import (
     stabilize,
 )
 
-from oracles import jacobi_eigenvalues, random_spd, sm_update_printed, sngd_dense_update
+from kernel_paths import on_path
+from oracles import (
+    jacobi_eigenvalues,
+    random_spd,
+    sm_update_chain,
+    sm_update_exact_chain,
+    sm_update_printed,
+    sngd_dense_update,
+    stabilize_chain,
+)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -97,6 +106,115 @@ def test_stabilize_rounds_as_zeta_f_plus_the_scaled_identity():
         want = zeta * f + (1.0 - zeta) * np.eye(3)
         assert stabilize(f, 100.0, zeta).tobytes() == want.tobytes()
     assert stabilize(f, 1e3, 0.95) is f
+
+
+# Entries whose bits the one-pass refresh must carry as the numpy chain does:
+# signed zeros, subnormals, infinities and NaN.
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _factor_and_vector(draw):
+    """(F, v) at an order that leaves a column tail on every path (or fills
+    whole vectors), with up to three special entries in each and F scaled so
+    that u u^T can underflow or overflow; F comes C-ordered, as a .T view or
+    as a field of a packed record array, which the kernel cannot read in
+    place."""
+    d = draw(st.sampled_from((1, 3, 7, 8, 17, 31, 256)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((d, d)) / np.sqrt(d)
+    f = (x @ x.T + np.eye(d)) * draw(st.sampled_from((1.0, 1e-160, 1e160)))
+    v = rng.standard_normal(d)
+    for target in (f, v):
+        for _ in range(draw(st.integers(0, 3))):
+            target.flat[draw(st.integers(0, target.size - 1))] = draw(st.sampled_from(_SPECIAL))
+    layout = draw(st.sampled_from(("C", ".T", "record")))
+    if layout == ".T":
+        f = np.ascontiguousarray(f.T).T
+    elif layout == "record":
+        records = np.zeros((d, d), dtype=[("x", "f8"), ("flag", "i1")])
+        records["x"] = f
+        f = records["x"]
+    return f, v
+
+
+def _same_as_chain(update, chain, *args):
+    """``update(*args)`` has the bytes of ``chain(*args)``, or raises
+    NumericalError where the chain's denominator check fails.
+
+    A NaN entry matches any NaN.  When both operands of a multiply or an add
+    are NaN, IEEE 754 leaves open whose sign and payload the result takes:
+    the instruction decides, and the compiler orders the operands of a
+    commutative operation as it likes, in numpy as in the kernel."""
+    with np.errstate(all="ignore"):
+        try:
+            want = chain(*args)
+        except ArithmeticError:
+            with pytest.raises(linalg.NumericalError, match="denominator lost positivity"):
+                update(*args)
+            return
+        got = update(*args)
+    assert got.flags.c_contiguous
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+_GAMMA = st.sampled_from((0.9, 0.5, 1.0)) | st.floats(0.5, 1.0)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_factor_and_vector(), gamma=_GAMMA)
+def test_each_path_sm_update_is_the_numpy_chain_byte_for_byte(path, case, gamma):
+    f, v = case
+    before = f.tobytes()
+    with on_path(path):
+        _same_as_chain(sm_update, sm_update_chain, f, v, gamma)
+    assert f.tobytes() == before
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_factor_and_vector(), gamma=_GAMMA)
+def test_each_path_sm_update_exact_is_the_numpy_chain_byte_for_byte(path, case, gamma):
+    f, v = case
+    with on_path(path):
+        _same_as_chain(sm_update_exact, sm_update_exact_chain, f, v, gamma)
+
+
+# zeta above 1 makes the identity's scale negative and its zeros -0.0, which
+# keep a -0.0 entry of zeta F negative off the diagonal.
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_factor_and_vector(), zeta=st.sampled_from((1.0, 0.95, 0.5)) | st.floats(0.0, 1.5))
+@example(case=(np.array([[2.0, -0.0, 1.0], [-0.0, -0.0, 3.0], [1.0, 3.0, 5e-324]]), None), zeta=1.25)
+def test_each_path_firing_stabilize_is_the_numpy_chain_byte_for_byte(path, case, zeta):
+    f, _ = case
+    with on_path(path), np.errstate(all="ignore"):
+        got = stabilize(f, -1.0, zeta)
+        want = stabilize_chain(f, -1.0, zeta)
+    assert got is not f
+    assert got.tobytes() == want.tobytes()
+
+
+# The counts of the numpy chain each call replaced, so no cost.csv or
+# summary.json moves: matvec 2n^2, dot 2n and four n^2 passes for a rank-1
+# update; the norm's 2n^2, and three n^2 passes when the blend runs.
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_the_rank1_refresh_counts_the_numpy_chains_flops(n):
+    rng = np.random.default_rng(n)
+    f, v = linalg.direct_inverse(random_spd(rng, n)), rng.standard_normal(n)
+
+    def counted(fn, *args):
+        tally = dict.fromkeys(counters.PHASES, 0.0)
+        with counters.recording(tally):
+            out = fn(*args)
+        return out, tally["other"]
+
+    assert counted(sm_update, f, v, 0.9)[1] == 6 * n * n + 2 * n
+    assert counted(sm_update_exact, f, v, 0.9)[1] == 6 * n * n + 2 * n
+    kept, flops = counted(stabilize, f, np.inf, 0.95)
+    assert kept is f and flops == 2 * n * n
+    blended, flops = counted(stabilize, f, 0.0, 0.95)
+    assert blended is not f and flops == 5 * n * n
 
 
 def test_kfac_accumulate_rounds_as_the_ema_and_leaves_the_shared_factors_alone():

@@ -20,7 +20,7 @@ from kronopt.net import backward, forward
 from kronopt.optim import FactorState
 from kronopt.prune import greedy_prune, prune_and_measure, taylor_predicted_loss
 from kronopt.training import build_dataset, run_training
-from oracles import dense_kron_quadratic, random_spd
+from oracles import dense_kron_quadratic, random_spd, stabilize_chain
 
 
 def _expected_prune_report(cfg, layer: int, k: int) -> dict:
@@ -755,6 +755,36 @@ def test_one_worker_sync_counts_no_reduction(monkeypatch, optimizer):
     bare = run_training(cfg).trace
     assert bare.sync_events == 4
     assert counted == bare.flops["factor_update"] > 0.0
+
+
+# The traced benchmark wraps optim.sm_update and optim.stabilize by name: it
+# counts the refresh's calls, takes the factor norm from sm_update's results
+# and counts a stabilize whose result is not its input as a firing.
+def test_refresh_factors_reaches_its_traced_functions_by_attribute(monkeypatch):
+    cfg = load_config(None, SQUARE_AE + ["inversion_period=1", "epsilon_norm=3"], seed=0)
+    calls = {"sm_update": 0, "fired": 0, "kept": 0}
+    real_sm_update, real_stabilize = optim.sm_update, optim.stabilize
+
+    def sm_update(f_inv, v, gamma):
+        before = f_inv.tobytes()
+        out = real_sm_update(f_inv, v, gamma)
+        assert out is not f_inv and f_inv.tobytes() == before
+        calls["sm_update"] += 1
+        return out
+
+    def stabilize(f_inv, epsilon_norm, zeta):
+        fires = stabilize_chain(f_inv, epsilon_norm, zeta) is not f_inv
+        out = real_stabilize(f_inv, epsilon_norm, zeta)
+        assert (out is f_inv) == (not fires)
+        calls["fired" if fires else "kept"] += 1
+        return out
+
+    monkeypatch.setattr(optim, "sm_update", sm_update)
+    monkeypatch.setattr(optim, "stabilize", stabilize)
+    run_training(cfg)
+    refreshes = cfg.iterations * 2 * len(cfg.layer_specs())
+    assert calls["sm_update"] == calls["fired"] + calls["kept"] == refreshes
+    assert calls["fired"] > 0 and calls["kept"] > 0
 
 
 @pytest.mark.parametrize("workers", [2, 4])
