@@ -25,7 +25,8 @@ typedef double v4 __attribute__((vector_size(32)));
 typedef double v8 __attribute__((vector_size(64)));
 
 /* KERNELS(isa, vec, lanes, height, target) defines the six entry points of
- * one instruction set, each exported under its name with the suffix _isa.
+ * one instruction set, each exported under its name with the suffix _isa;
+ * they are the entries of kronopt.linalg._ENTRIES.
  *
  * isa_block is the one tile sum: a tile of C, rows rows by 2 vec (2 * lanes
  * columns) at c with row stride ldc, held in registers (8 rows by 16 columns
@@ -256,23 +257,12 @@ KERNELS(avx512, v8, 8, 8, target("avx512f"))
 KERNELS(avx2, v4, 4, 4, target("avx2"))
 KERNELS(sse2, v2, 2, 4, target("sse2"))
 
-/* Each entry point resolves once, when the library is loaded, to the widest
- * instance the CPU runs; the instances are exported under their own names
- * too, so every path can be tested on a CPU that has it. */
-#define RESOLVE(entry)                                                                     \
-    typedef __typeof__(entry##_sse2) entry##_fn;                                           \
-    static entry##_fn *choose_##entry(void)                                                \
-    {                                                                                      \
-        __builtin_cpu_init();                                                              \
-        if (__builtin_cpu_supports("avx512f"))                                             \
-            return entry##_avx512;                                                         \
-        return __builtin_cpu_supports("avx2") ? entry##_avx2 : entry##_sse2;               \
-    }                                                                                      \
-    entry##_fn entry __attribute__((ifunc("choose_" #entry)));
-
-RESOLVE(pinned_matmul)
-RESOLVE(pinned_gram)
-RESOLVE(pinned_cholesky)
-RESOLVE(pinned_tril_inverse)
-RESOLVE(pinned_scale_rank1)
-RESOLVE(pinned_scale_shift)
+/* The index in kronopt.linalg.PATHS (avx512, avx2, sse2) of the widest path
+ * the CPU runs: linalg binds that path's entry points once, at import. */
+int pinned_path(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return 0;
+    return __builtin_cpu_supports("avx2") ? 1 : 2;
+}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .counters import PHASES
 
-OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "eva", "sgd", "adam", "lamb")
+OPTIMIZERS = ("mkor", "mkor-h", "kfac", "sngd", "eva", "sgd")
 # the tags that sync rank-1 vectors, the only payload that may ship half width
 RANK1_OPTIMIZERS = ("mkor", "mkor-h")
 
@@ -39,8 +39,6 @@ def layer_memory(optimizer: str, out_dim: int, in_dim: int, b: int) -> float:
         return float(2 * b * max(i, o) + b * b)
     if optimizer == "eva":  # running means of the activation and gradient
         return float(i + o)
-    if optimizer in ("adam", "lamb"):  # two moment estimates per weight
-        return 2.0 * i * o
     return float(i * o)  # sgd: one velocity per weight
 
 
@@ -77,7 +75,7 @@ def analytic_cost(optimizer: str, d: int, b: int, half_precision: bool = False) 
         row = (d**3, kron_precondition, 4 * d * d)
     elif optimizer == "sngd":
         row = (b**3, 2 * b * d * d, 2 * b * d + b * b)
-    else:  # first-order rows: optimizer state only, no factor work or traffic
+    else:  # sgd: its velocity only, no factor work or traffic
         row = (0, 0, 0)
     factor, precond, comm = map(float, row)
     return CostReport(

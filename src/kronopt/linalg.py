@@ -10,8 +10,9 @@ that gives each entry the scalar loop's work, one rounded multiply and one
 rounded add per term in a fixed ascending order, so their results are
 bit-identical to that loop.  Its vectors span output entries only, and it is
 compiled without contraction, so no multiply-add is ever fused.  Each entry
-point has an AVX-512, an AVX2 and an SSE2 path; when the library loads, each
-resolves to the widest one the CPU runs, and all three give the same bits.
+point has an AVX-512, an AVX2 and an SSE2 path, which give the same bits; one
+``pinned_path()`` call at import picks the widest the CPU runs, :data:`PATH`,
+and binds every entry point on it for the process.
 ``scale_rank1`` (alpha M + c u u^T) and ``blend_identity``
 (zeta M + (1 - zeta) I) run the library's two elementwise entry points: one
 rounded multiply or add per operation, as numpy's whole-array chain rounds
@@ -43,13 +44,14 @@ from . import counters
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pinned.c")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _P, _S, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-# (restype, argtypes) of each entry point; an instance adds _avx512, _avx2 or _sse2
-_ENTRIES = {"pinned_matmul": (None, (_P, _S, _S, _P, _P, _S, _S, _S)),
-            "pinned_gram": (None, (_P, _S, _S, _P, _P, _S, _S)),
-            "pinned_cholesky": (_S, (_P, _P, _S, _S)),
-            "pinned_tril_inverse": (None, (_P, _S, _S, _P, _S, _S)),
-            "pinned_scale_rank1": (None, (_P, _P, _D, _D, _P, _S)),
-            "pinned_scale_shift": (None, (_P, _D, _D, _P, _S))}
+PATHS = ("avx512", "avx2", "sse2")  # indexed by _pinned.c's pinned_path()
+# name -> (restype, argtypes) of every entry point; on a path it is pinned_<name>_<path>
+_ENTRIES = {"matmul": (None, (_P, _S, _S, _P, _P, _S, _S, _S)),
+            "gram": (None, (_P, _S, _S, _P, _P, _S, _S)),
+            "cholesky": (_S, (_P, _P, _S, _S)),
+            "tril_inverse": (None, (_P, _S, _S, _P, _S, _S)),
+            "scale_rank1": (None, (_P, _P, _D, _D, _P, _S)),
+            "scale_shift": (None, (_P, _D, _D, _P, _S))}
 
 
 class LinalgError(Exception):
@@ -74,13 +76,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def load_kernel(cache_dir: str, name: str = "pinned_matmul"):
-    """Entry point ``name`` of ``_pinned.c``: one of ``_ENTRIES`` (the widest
-    path the CPU runs) or, with ``_avx512``, ``_avx2`` or ``_sse2`` added, one
-    path, which kills the process on a CPU that lacks it."""
-    kernel = getattr(_library(cache_dir), name)
-    kernel.restype, kernel.argtypes = _ENTRIES.get(name) or _ENTRIES[name.rsplit("_", 1)[0]]
-    return kernel
+def kernels(cache_dir: str, path: str) -> dict:
+    """{name: its instance on ``path``} for every entry point of ``_ENTRIES``.
+    A path the CPU lacks kills the process at its first call."""
+    lib = _library(cache_dir)
+    bound = {}
+    for name, (restype, argtypes) in _ENTRIES.items():
+        bound[name] = kernel = getattr(lib, f"pinned_{name}_{path}")
+        kernel.restype, kernel.argtypes = restype, argtypes
+    return bound
 
 
 @functools.cache
@@ -122,8 +126,10 @@ def _build(path: str) -> None:
 
 
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-(_kernel, _gram, _cholesky, _tril_inverse, _scale_rank1,
- _scale_shift) = (load_kernel(_CACHE, name) for name in _ENTRIES)
+_choose = _library(_CACHE).pinned_path
+_choose.restype, _choose.argtypes = ctypes.c_int, ()
+PATH = PATHS[_choose()]  # the widest path this CPU runs, chosen once per process
+_K = kernels(_CACHE, PATH)
 
 
 def _operand(a) -> np.ndarray:
@@ -177,8 +183,8 @@ def _pinned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(b)
     (m, k), n = a.shape, b.shape[1]
     c = np.empty((m, n), dtype=np.float64)
-    _kernel(a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, b.ctypes.data, c.ctypes.data,
-            m, k, n)
+    _K["matmul"](a.ctypes.data, a.strides[0] // 8, a.strides[1] // 8, b.ctypes.data,
+                 c.ctypes.data, m, k, n)
     return c
 
 
@@ -241,7 +247,7 @@ def scale_rank1(m, u, alpha: float, c: float) -> np.ndarray:
         raise DimensionMismatch(f"scale_rank1: {m.shape} and {u.shape}")
     counters.add_flops(4.0 * n * n)
     out = np.empty((n, n), dtype=np.float64)
-    _scale_rank1(m.ctypes.data, u.ctypes.data, float(alpha), float(c), out.ctypes.data, n)
+    _K["scale_rank1"](m.ctypes.data, u.ctypes.data, float(alpha), float(c), out.ctypes.data, n)
     return out
 
 
@@ -256,7 +262,7 @@ def blend_identity(m, zeta: float) -> np.ndarray:
     n = m.shape[0]
     counters.add_flops(3.0 * n * n)
     out = np.empty((n, n), dtype=np.float64)
-    _scale_shift(m.ctypes.data, float(zeta), 1.0 - zeta, out.ctypes.data, n)
+    _K["scale_shift"](m.ctypes.data, float(zeta), 1.0 - zeta, out.ctypes.data, n)
     return out
 
 
@@ -296,8 +302,8 @@ def gram(x) -> np.ndarray:
     counters.add_flops(float(k * m * (m + 1)))
     xt = np.ascontiguousarray(x.T)
     c = np.empty((m, m), dtype=np.float64)
-    _gram(x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8, xt.ctypes.data, c.ctypes.data,
-          m, k)
+    _K["gram"](x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8, xt.ctypes.data,
+               c.ctypes.data, m, k)
     return c
 
 
@@ -309,7 +315,8 @@ def direct_inverse(m) -> np.ndarray:
     c = cholesky(m)
     n = c.shape[0]
     x = _padded(n)
-    _tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n, x.shape[1])
+    _K["tril_inverse"](c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n,
+                       x.shape[1])
     counters.add_flops(n * n * n / 3.0)
     return gram(x[:, :n].T)
 
@@ -328,7 +335,7 @@ def cholesky(m) -> np.ndarray:
     if not (np.array_equal(m, m.T) or np.array_equal(m, m.T, equal_nan=True)):
         raise LinalgError("cholesky: input is not exactly symmetric")
     u = _padded(n)
-    j = _cholesky(m.ctypes.data, u.ctypes.data, n, u.shape[1])
+    j = _K["cholesky"](m.ctypes.data, u.ctypes.data, n, u.shape[1])
     if j >= 0:
         raise SingularMatrix(f"not positive-definite: pivot {u[j, j]:.3e} at column {j}")
     counters.add_flops(n * n * n / 3.0)

@@ -1,6 +1,6 @@
 """The pinned kernels' instruction-set paths, for tests that run each one:
-which the CPU has, and a context that puts one path's instance of every
-entry point in place of the resolver's pick."""
+which the CPU has, and a context that binds one path's entry points the way
+the import binds the path ``pinned_path()`` picks."""
 
 from __future__ import annotations
 
@@ -21,29 +21,22 @@ def _cpu_flags() -> set[str]:
 
 CPU_FLAGS = _cpu_flags()
 CACHE = os.path.join(os.path.dirname(linalg.__file__), "__pycache__")
-# (path name, the /proc/cpuinfo flag it needs)
+# (path name, the /proc/cpuinfo flag it needs), in linalg.PATHS' order
 PATHS = (("avx512", "avx512f"), ("avx2", "avx2"), ("sse2", "sse2"))
-# entry point of _pinned.c -> the linalg attribute that holds it
-ENTRY_POINTS = {"matmul": "_kernel", "gram": "_gram", "cholesky": "_cholesky",
-                "tril_inverse": "_tril_inverse", "scale_rank1": "_scale_rank1",
-                "scale_shift": "_scale_shift"}
 
 
 @functools.cache
-def _instances(path):
-    return {slot: linalg.load_kernel(CACHE, f"pinned_{entry}_{path}")
-            for entry, slot in ENTRY_POINTS.items()}
+def _kernels(path):
+    return linalg.kernels(CACHE, path)
 
 
 @contextlib.contextmanager
 def on_path(path):
-    """linalg with every entry point's ``path`` instance in place of the
-    resolver's pick."""
-    saved = {slot: getattr(linalg, slot) for slot in ENTRY_POINTS.values()}
+    """linalg with every entry point bound on ``path``, as the import binds
+    :data:`kronopt.linalg.PATH`."""
+    saved = linalg._K
+    linalg._K = _kernels(path)
     try:
-        for slot, kernel in _instances(path).items():
-            setattr(linalg, slot, kernel)
         yield
     finally:
-        for slot, kernel in saved.items():
-            setattr(linalg, slot, kernel)
+        linalg._K = saved

@@ -5,12 +5,19 @@ A change that alters an artifact on purpose regenerates the file with
 
     python3 tools/artifact_digests.py --src src > tests/artifact_digests.txt
 
-and states each changed line, and why, in CHANGES.md.
+and states each changed line, and why, in CHANGES.md.  On every kernel
+path the CPU has, the whole listing is reproduced in process as well.
 """
 
+import contextlib
+import importlib.util
+import io
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from kernel_paths import on_path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "artifact_digests.txt"
@@ -51,6 +58,29 @@ def test_artifacts_match_the_committed_digests():
     assert proc.returncode == 0, proc.stderr
     problems = _differences(GOLDEN.read_text(), proc.stdout)
     assert not problems, "artifacts differ from tests/artifact_digests.txt:\n" + "\n".join(problems)
+
+
+def _digest_tool():
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+# The listing holds on each path, not only on the one this CPU's import binds:
+# the artifacts do not depend on which instruction set runs the kernels.
+def test_every_path_reproduces_the_committed_digests(path):
+    tool, out = _digest_tool(), io.StringIO()
+    saved_path, cwd = list(sys.path), os.getcwd()
+    try:
+        with on_path(path), contextlib.redirect_stdout(out):
+            code = tool.main(["--src", str(ROOT / "src")])
+    finally:
+        sys.path[:] = saved_path
+    assert os.getcwd() == cwd
+    assert code == 0
+    assert _differences(GOLDEN.read_text(), out.getvalue()) == []
 
 
 def test_a_difference_names_its_cell_and_artifact_and_the_versions():

@@ -1,4 +1,3 @@
-import ctypes
 import json
 import os
 import re
@@ -29,7 +28,7 @@ from kronopt.linalg import (
     power_iteration,
 )
 
-from kernel_paths import CACHE, CPU_FLAGS, ENTRY_POINTS, on_path
+from kernel_paths import CACHE, CPU_FLAGS, PATHS, on_path
 from oracles import (
     cholesky_loops,
     jacobi_eigenvalues,
@@ -198,26 +197,21 @@ class TestKernelPaths:
         a, b, want = _workload_operands(m, k, n, view)
         assert _through(path, a, b).tobytes() == want.tobytes()
 
-    def test_matmul_runs_the_avx512_path_on_a_cpu_with_avx512f(self):
-        if "avx512f" not in CPU_FLAGS:
-            pytest.skip("this CPU lacks avx512f (not among /proc/cpuinfo's flags)")
-
-        def address(kernel):
-            return ctypes.cast(kernel, ctypes.c_void_p).value
-
-        assert address(linalg._kernel) == address(linalg.load_kernel(CACHE, "pinned_matmul_avx512"))
+    def test_the_import_binds_the_widest_path_the_cpu_lists(self):
+        assert linalg.PATH == next(name for name, flag in PATHS if flag in CPU_FLAGS)
+        assert linalg._K == linalg.kernels(CACHE, linalg.PATH)
 
     # The FMA canary in TestMatmul runs only the path this CPU picks; the
     # disassembly covers all three, for every entry point.
     def test_no_path_holds_a_fused_multiply_add_instruction(self, tmp_path):
         if shutil.which("objdump") is None:
             pytest.skip("objdump is not on the PATH, so the built kernel cannot be disassembled")
-        linalg.load_kernel(str(tmp_path))
+        linalg.kernels(str(tmp_path), linalg.PATH)
         [name] = os.listdir(tmp_path)
         listing = subprocess.run(["objdump", "-d", str(tmp_path / name)], capture_output=True,
                                  text=True, check=True).stdout
-        for entry in ENTRY_POINTS:
-            for path_name in ("avx512", "avx2", "sse2"):
+        for entry in linalg._ENTRIES:
+            for path_name in linalg.PATHS:
                 assert f"<pinned_{entry}_{path_name}>:" in listing
         fused = re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", listing)
         assert not fused, f"the built kernel holds fused multiply-adds: {sorted(set(fused))}"
@@ -286,8 +280,8 @@ def _tril_inverse(c):
     that ``direct_inverse`` runs, into rows padded as it pads them."""
     n = c.shape[0]
     x = np.empty((n, -(-n // 16) * 16))
-    linalg._tril_inverse(c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8, x.ctypes.data, n,
-                         x.shape[1])
+    linalg._K["tril_inverse"](c.ctypes.data, c.strides[0] // 8, c.strides[1] // 8,
+                              x.ctypes.data, n, x.shape[1])
     return np.ascontiguousarray(x[:, :n])
 
 
@@ -360,7 +354,7 @@ class TestKernelLoader:
         assert out.stdout.strip() == "False"
 
     def test_a_build_into_an_empty_directory_gives_matmuls_bytes(self, tmp_path):
-        kernel = linalg.load_kernel(str(tmp_path))
+        kernel = linalg.kernels(str(tmp_path), linalg.PATH)["matmul"]
         [name] = os.listdir(tmp_path)
         assert re.fullmatch(r"_pinned\.[0-9a-f]{64}\.so", name)
         rng = make_rng(5)
@@ -372,7 +366,7 @@ class TestKernelLoader:
     def test_a_build_removes_the_libraries_of_other_keys(self, tmp_path):
         stale = tmp_path / f"_pinned.{'0' * 64}.so"
         stale.write_bytes(b"built from another _pinned.c")
-        linalg.load_kernel(str(tmp_path))
+        linalg.kernels(str(tmp_path), linalg.PATH)
         [name] = os.listdir(tmp_path)
         assert re.fullmatch(r"_pinned\.[0-9a-f]{64}\.so", name) and name != stale.name
 
@@ -382,14 +376,14 @@ class TestKernelLoader:
 
         monkeypatch.setattr(subprocess, "run", fails)
         with pytest.raises(RuntimeError, match=r"cc -O2 -ffp-contract=off .*_pinned\.c\n_pinned\.c:1:1: error: boom"):
-            linalg.load_kernel(str(tmp_path))
+            linalg.kernels(str(tmp_path), linalg.PATH)
 
         def missing(cmd, **kwargs):
             raise FileNotFoundError(2, "No such file or directory", "cc")
 
         monkeypatch.setattr(subprocess, "run", missing)
         with pytest.raises(RuntimeError, match=r"cannot run the C compiler: cc -O2 .*No such file"):
-            linalg.load_kernel(str(tmp_path))
+            linalg.kernels(str(tmp_path), linalg.PATH)
         assert os.listdir(tmp_path) == []
 
 

@@ -2,10 +2,14 @@
 name somewhere else in the package, so nothing there is code that only the
 tests reach.  An oracle that only tests call lives in ``tests/oracles.py``.
 Weight updates have one apply site, ``training.run_training``, and the C
-kernel ``_pinned.c`` has one vector tile sum."""
+kernel ``_pinned.c`` has one vector tile sum and defines exactly the entry
+points ``linalg._ENTRIES`` lists."""
 
 import ast
+import re
 from pathlib import Path
+
+from kronopt import linalg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kronopt"
 
@@ -85,3 +89,12 @@ def test_a_name_in_a_string_or_an_import_or_its_own_body_is_no_reference(tmp_pat
 # and both triangular kernels share.
 def test_the_pinned_kernel_writes_its_vector_tile_sum_once():
     assert (SRC / "_pinned.c").read_text().count("acc[r][0] = acc[r][0] + x * b0") == 1
+
+
+# linalg._ENTRIES is the one list of entry points: every name KERNELS defines
+# (as pinned_<name>_##isa) is on it and nothing else is, and the path is
+# chosen once, by pinned_path(), with no ifunc resolver beside it.
+def test_the_pinned_kernels_entry_points_are_linalgs_entries():
+    source = (SRC / "_pinned.c").read_text()
+    assert sorted(re.findall(r"\bpinned_(\w+)_##isa\b", source)) == sorted(linalg._ENTRIES)
+    assert "ifunc" not in source

@@ -808,11 +808,6 @@ def test_run_memory_is_the_analytic_row_per_layer(optimizer):
     assert memory == layers * costs.analytic_cost(optimizer, 8, cfg.batch).memory_elements
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "lamb"])
-def test_adam_and_lamb_hold_two_moments_per_weight(optimizer):
-    assert costs.analytic_cost(optimizer, 16, 4).memory_elements == 2 * 16 * 16
-
-
 # Momentum's velocity updates, weights and biases, count as weight_update; no
 # flop falls outside the five phases cost.csv lists.
 @pytest.mark.parametrize(
