@@ -164,13 +164,14 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    steps = args.steps
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     report: dict = {}
     ok = True
     for d in (4, 16, 64):
-        chain = analysis.lemma1_chain(d, steps, seed=d)
+        chain = analysis.lemma1_chain(d, args.steps, seed=d)
         report[f"pd_chain_d{d}"] = chain
-        print(f"PD chain d={d}: OK over {steps} steps")
+        print(f"PD chain d={d}: OK over {args.steps} steps")
     rng = linalg.make_rng(1)
     worst = 0.0
     for _ in range(200):

@@ -107,11 +107,12 @@ class ExperimentConfig:
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
-        floats += [(f"dataset.{name}", value) for name, value in self.dataset_params.items()
-                   if SYNTH_PARAMS[name] is float]
         for key, value in floats:
             if math.isnan(value):
                 raise ConfigError(f"{key} must be a number, got nan")
+        for name, value in self.dataset_params.items():
+            if SYNTH_PARAMS[name] is float and not math.isfinite(value):
+                raise ConfigError(f"dataset.{name} must be finite, got {value}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must be in (0, 1)")
         if not 0.0 < self.zeta <= 1.0:

@@ -11,8 +11,8 @@ Conventions shared by every step function:
     those iterations; the step functions only read the cached inverses,
     which precondition every step,
   * a step function forms each layer's update and returns it; the loop
-    applies it to every replica through :func:`apply_update`, the only
-    function here that touches a network,
+    applies it once, to the run's one copy of the weights, through
+    :func:`apply_update`, the only function here that touches a network,
   * state equal on every worker is held once: one FactorState per layer and
     one SgdState; a KfacState is one worker's covariances, inverted by
     :func:`kfac_invert`,

@@ -18,12 +18,12 @@ NumericalError naming the iteration.  The factor write, forward/backward and
 the update norm in ``optim.rescale`` run with numpy's overflow warnings off,
 so the named error is all the user sees.
 
-Updates: optimizers form each layer's update, and this loop alone applies it
-to every worker's weight replica through ``optim.apply_update``.  mkor and
-mkor-h form it once per replica, because the benchmark's 2-worker smoke run
-pins their replica ratio at 0.5; the others once per step.  State equal on
-every worker (factors, velocities) exists once per run; a worker holds only
-its weight replica and its KFAC covariances.
+Updates: the run holds one copy of the weights, on which each worker runs
+forward/backward over its shard; optimizers form each layer's update and
+this loop alone applies it once per step, through ``optim.apply_update``.
+mkor and mkor-h form it once per worker, since the benchmark's 2-worker
+smoke run pins their replica ratio at 0.5, and apply worker 0's.  Only the
+KFAC covariances are held per worker; all other state once per run.
 
 Traffic: a mkor sync allreduces each layer's rank-1 vectors; a KFAC sync
 allreduces each layer's covariance factors, worker 0 alone inverts them and
@@ -73,10 +73,10 @@ from .sched import KneePointState, knee_point_update, step_decay
 
 @dataclass
 class RunResult:
-    """What one run leaves behind.  ``net`` is worker 0's final weights,
-    ``dataset`` the unsharded data it trained on and ``states`` the run's one
-    list of layer factors, held once since every worker reads the same ones
-    (FactorState for mkor, mkor-h and kfac, empty for sgd/sngd)."""
+    """What one run leaves behind: its losses, its final weights ``net``, the
+    unsharded ``dataset`` it trained on, ``states``, the run's one list of layer
+    factors (FactorState for mkor, mkor-h and kfac, empty for sgd/sngd), and
+    ``workers_identical``, false if a worker formed an update unlike worker 0's."""
 
     losses: list[float]
     lrs: list[float]
@@ -156,8 +156,7 @@ def _write_factors(t: int, layer: int, phase: str, write, st, *args) -> None:
 
 
 def run_training(cfg: ExperimentConfig) -> RunResult:
-    """Run the configured experiment; returns losses, worker 0's final net,
-    the run's layer factors and the instrumentation trace."""
+    """Run the configured experiment; returns what :class:`RunResult` holds."""
     cfg.validate()
     dataset = build_dataset(cfg)
     shards = shard_dataset(dataset, cfg.workers, cfg.seed)
@@ -165,8 +164,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
     n_workers = cfg.workers
     rng = linalg.make_rng(cfg.seed)
     specs = cfg.layer_specs()
-    base_net = init_network(specs, rng)
-    nets = [base_net] + [base_net.copy() for _ in range(n_workers - 1)]
+    net = init_network(specs, rng)
 
     opt = cfg.optimizer
     factors = [FactorState.identity_init(s.out_dim, s.in_dim) for s in specs] \
@@ -186,6 +184,7 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
     lrs: list[float] = []
     rank1_records: list[Rank1ErrorRecord] = []
     switch_iteration = None
+    workers_identical = True
     lr_t = cfg.lr
 
     with counters.recording(trace.flops):
@@ -197,8 +196,8 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
             with counters.phase("forward_backward"), np.errstate(over="ignore", invalid="ignore"):
                 for w in range(n_workers):
                     x, y = batch_slice(shards[w], t, cfg.batch)
-                    out, net_trace = forward(nets[w], x)
-                    lval, caps = backward(nets[w], net_trace, y, cfg.loss)
+                    out, net_trace = forward(net, x)
+                    lval, caps = backward(net, net_trace, y, cfg.loss)
                     worker_caps.append(caps)
                     worker_losses.append(lval)
             loss_t = sum(worker_losses) / n_workers
@@ -270,28 +269,25 @@ def run_training(cfg: ExperimentConfig) -> RunResult:
                     )
 
             for l in range(len(specs)):
-                for net in nets:
-                    if deltas is None:
-                        # per replica: kronbench pins mkor's replica ratio at 0.5 (item 7)
-                        with _named(t, l, "precondition"):
-                            delta = mkor_step(
-                                factors[l], grads[l], [caps[l] for caps in worker_caps]
-                            )
-                    else:
-                        delta = deltas[l]
-                    apply_update(net, l, delta, bias_deltas[l], lr_t)
+                if deltas is None:
+                    # per worker: kronbench pins mkor's replica ratio at 0.5 (item 7)
+                    layer_caps = [caps[l] for caps in worker_caps]
+                    with _named(t, l, "precondition"):
+                        delta, *others = [mkor_step(factors[l], grads[l], layer_caps)
+                                          for _ in range(n_workers)]
+                    workers_identical &= all(np.array_equal(delta, d) for d in others)
+                else:
+                    delta = deltas[l]
+                apply_update(net, l, delta, bias_deltas[l], lr_t)
 
             if cfg.rank1_every > 0 and (t == 1 or t % cfg.rank1_every == 0):
                 rank1_records.extend(covariance_records(worker_caps[0], t))
             trace.step_wall_ms.append((time.perf_counter() - t0) * 1e3)
 
-    workers_identical = all(
-        np.array_equal(a, b) for net in nets[1:] for a, b in zip(net.weights, nets[0].weights)
-    )
     return RunResult(
         losses=losses,
         lrs=lrs,
-        net=nets[0],
+        net=net,
         trace=trace,
         dataset=dataset,
         workers_identical=workers_identical,

@@ -73,11 +73,9 @@ def _digest_tool():
 def test_every_path_reproduces_the_committed_digests(path):
     tool, out = _digest_tool(), io.StringIO()
     saved_path, cwd = list(sys.path), os.getcwd()
-    try:
-        with on_path(path), contextlib.redirect_stdout(out):
-            code = tool.main(["--src", str(ROOT / "src")])
-    finally:
-        sys.path[:] = saved_path
+    with on_path(path), contextlib.redirect_stdout(out):
+        code = tool.main(["--src", str(ROOT / "src")])
+    assert sys.path == saved_path
     assert os.getcwd() == cwd
     assert code == 0
     assert _differences(GOLDEN.read_text(), out.getvalue()) == []

@@ -180,6 +180,11 @@ BAD_CONFIG_ARGS = {
     "mkor-h-switch_ratio=nan": ["--set", "optimizer=mkor-h", "--set", "switch_ratio=nan"],
     "gamma=nan": ["--set", "gamma=nan"],
     "dataset.sigma=nan": ["--set", "dataset.sigma=nan"],
+    "dataset.noise=inf": ["--set", "dataset.kind=random-autoencoder", "--set", "dataset.noise=inf"],
+    "dataset.offset=-inf": [
+        "--set", "dataset.kind=random-autoencoder", "--set", "dataset.offset=-inf",
+    ],
+    "blobs-scale=inf": ["--set", "dataset.kind=gaussian-blobs", "--set", "dataset.scale=inf"],
     "epoch_iters<0": ["--set", "scheduler=step", "--set", "epoch_iters=-1"],
     "rank1_every<0": ["--set", "rank1_every=-1"],
 }
@@ -658,10 +663,17 @@ def test_more_workers_than_samples_exit_2_before_iteration_1(tmp_path, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", [["--d", "0"], ["--b", "0"]], ids=["d=0", "b=0"])
-def test_bad_cost_report_size_exits_2(tmp_path, capsys, bad):
-    assert cli.main(["cost-report", "--out", str(tmp_path), *bad]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [["cost-report", "--d", "0"], ["cost-report", "--b", "0"],
+     ["verify-lemmas", "--steps", "0"], ["verify-lemmas", "--steps", "-3"]],
+    ids=["d=0", "b=0", "steps=0", "steps<0"],
+)
+def test_bad_cost_report_size_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # cost-report and verify-lemmas take no experiment config; rank1-profile,
@@ -855,8 +867,7 @@ def test_factors_are_written_once_per_layer_per_sync(monkeypatch, optimizer, wri
 
 
 # Every input to KFAC's precondition is shared (the factors, the workers' mean
-# gradient), so each layer's update is formed once per step and every replica
-# applies it.
+# gradient), so each layer's update is formed once per step and applied once.
 def test_kfac_preconditions_each_layer_once_per_step(monkeypatch):
     calls = []
     original = training.precondition
@@ -874,6 +885,60 @@ def test_kfac_preconditions_each_layer_once_per_step(monkeypatch):
     dense = sum(2 * s.out_dim * s.in_dim * (s.out_dim + s.in_dim) for s in specs)
     assert result.trace.flops["precondition"] == cfg.iterations * dense
     assert result.workers_identical
+
+
+UPDATE_TAGS = ["mkor", "mkor-h", "kfac", "sgd"]
+
+
+# The run holds one copy of the weights: each layer's update is applied once
+# per step, and costs as much, at any worker count.
+@pytest.mark.parametrize("optimizer", UPDATE_TAGS)
+def test_each_layer_is_updated_once_per_step_on_four_workers(monkeypatch, optimizer):
+    calls = []
+    original = training.apply_update
+
+    def counted(net, layer, *args):
+        calls.append((id(net), layer))
+        original(net, layer, *args)
+
+    monkeypatch.setattr(training, "apply_update", counted)
+    cfg = load_config(None, SQUARE_AE + [f"optimizer={optimizer}", "workers=4"], seed=0)
+    result = run_training(cfg)
+    layers = len(cfg.layer_specs())
+    assert calls == [(id(result.net), l) for _ in range(cfg.iterations) for l in range(layers)]
+
+
+@pytest.mark.parametrize("optimizer", UPDATE_TAGS)
+def test_weight_update_flops_do_not_grow_with_workers(optimizer):
+    flops = [
+        run_training(load_config(None, SQUARE_AE + [f"optimizer={optimizer}", f"workers={w}"],
+                                 seed=0)).trace.flops["weight_update"]
+        for w in (1, 4)
+    ]
+    assert flops[0] > 0.0
+    assert flops[1] == flops[0]
+
+
+# Each worker forms mkor's update; the run applies worker 0's and reports a
+# worker whose update differs.
+def test_a_worker_forming_a_different_update_clears_workers_identical(monkeypatch):
+    cfg = load_config(None, SQUARE_AE + ["optimizer=mkor", "workers=4"], seed=0)
+    plain = run_training(cfg)
+    assert plain.workers_identical
+    calls = []
+    original = training.mkor_step
+
+    def skewed(*args):
+        calls.append(args)
+        delta = original(*args)
+        return delta + 1.0 if len(calls) == 2 else delta  # iteration 1, layer 0, worker 1
+
+    monkeypatch.setattr(training, "mkor_step", skewed)
+    result = run_training(cfg)
+    assert len(calls) == cfg.workers * len(cfg.layer_specs()) * cfg.iterations
+    assert result.workers_identical is False
+    assert result.losses == plain.losses
+    assert all(np.array_equal(a, b) for a, b in zip(result.net.weights, plain.net.weights))
 
 
 # The factor inverses stand for inverses of symmetric covariances, so

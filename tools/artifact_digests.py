@@ -171,9 +171,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the kronopt package")
     args = parser.parse_args(argv)
+    saved_path = list(sys.path)
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy
-    from kronopt import cli
+    try:  # once imported, the package finds its own modules
+        import numpy
+        from kronopt import cli
+    finally:
+        sys.path[:] = saved_path
 
     print(f"# python {platform.python_version()} numpy {numpy.__version__}")
     cwd = os.getcwd()
